@@ -34,8 +34,24 @@ class ParamsError(ValueError):
     pass
 
 
+def _f32(x, name: str) -> np.ndarray:
+    try:
+        return np.asarray(x, dtype=np.float32)
+    except (TypeError, ValueError) as exc:
+        raise ParamsError(f"{name} must be a numeric array: {exc}") from exc
+
+
+def _number(spec: dict, key: str, default, kind=float):
+    """``kind(spec[key])``, or the default; a value of the wrong type is a ParamsError."""
+    value = spec.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParamsError(f"{key} must be a number, got {value!r}") from exc
+
+
 def _as_f32(x, shape, name: str) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float32)
+    arr = _f32(x, name)
     if arr.shape != shape:
         raise ParamsError(f"{name} must have shape {shape}, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -200,24 +216,32 @@ def _gamut_from_spec(spec) -> GamutParams:
             if key not in spec:
                 raise ParamsError(f"explicit gamut needs {key!r}")
         return GamutParams(
-            ctrl_pts=np.asarray(spec["ctrl_pts"], dtype=np.float32),
-            weights=np.asarray(spec["weights"], dtype=np.float32),
-            coefs=np.asarray(spec["coefs"], dtype=np.float32),
+            ctrl_pts=_f32(spec["ctrl_pts"], "ctrl_pts"),
+            weights=_f32(spec["weights"], "weights"),
+            coefs=_f32(spec["coefs"], "coefs"),
         )
-    n = int(spec.get("n", DEFAULT_GAMUT_POINTS))
-    return random_gamut(n, int(spec.get("seed", 7)))
+    n = _number(spec, "n", DEFAULT_GAMUT_POINTS, int)
+    if n < 1:
+        raise ParamsError(f"gamut needs at least one control point, got n={n}")
+    seed = _number(spec, "seed", 7, int)
+    if seed < 0:
+        raise ParamsError(f"gamut seed must be >= 0, got {seed}")
+    return random_gamut(n, seed)
 
 
 def _tone_from_spec(spec) -> ToneLUT:
     if not isinstance(spec, dict):
         raise ParamsError("tone section must be an object")
     if "lut" in spec:
-        return ToneLUT(np.asarray(spec["lut"], dtype=np.float32))
+        return ToneLUT(spec["lut"])
     kind = spec.get("kind", "identity")
     if kind == "identity":
         return identity_tone()
     if kind == "gamma":
-        return gamma_tone(float(spec.get("gamma", 2.2)))
+        gamma = _number(spec, "gamma", 2.2)
+        if not gamma > 0:
+            raise ParamsError(f"gamma must be positive, got {gamma}")
+        return gamma_tone(gamma)
     raise ParamsError(f"unknown tone kind {kind!r}")
 
 
@@ -228,19 +252,23 @@ def load_params_file(path: str | Path) -> tuple[PipelineParams, PerfModelConfig]
         raise ParamsError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParamsError("parameter file must contain a JSON object")
-    transform = TransformMatrix(
-        np.asarray(doc.get("transform", np.eye(3).tolist()), dtype=np.float32)
-    )
+    transform = TransformMatrix(doc.get("transform", np.eye(3).tolist()))
     gamut = _gamut_from_spec(doc.get("gamut", {}))
     tone = _tone_from_spec(doc.get("tone", {"kind": "identity"}))
     pm = doc.get("perfmodel", {})
     if not isinstance(pm, dict):
         raise ParamsError("perfmodel section must be an object")
     defaults = PerfModelConfig()
+    costs = pm.get("costs", {})
+    if not isinstance(costs, dict):
+        raise ParamsError("perfmodel costs must be an object")
+    unknown = sorted(set(costs) - set(defaults.costs))
+    if unknown:
+        raise ParamsError(f"unknown perfmodel cost keys {unknown}; known: {sorted(defaults.costs)}")
     perf = PerfModelConfig(
-        pipeline_depth=int(pm.get("pipeline_depth", defaults.pipeline_depth)),
-        assumed_dep_ii=int(pm.get("assumed_dep_ii", defaults.assumed_dep_ii)),
-        costs={**defaults.costs, **pm.get("costs", {})},
+        pipeline_depth=_number(pm, "pipeline_depth", defaults.pipeline_depth, int),
+        assumed_dep_ii=_number(pm, "assumed_dep_ii", defaults.assumed_dep_ii, int),
+        costs={**defaults.costs, **{k: _number(costs, k, None) for k in costs}},
     )
     if perf.pipeline_depth <= 0 or perf.assumed_dep_ii < 1:
         raise ParamsError("perfmodel depths must be positive")

@@ -24,8 +24,12 @@ region.
 
 R and I never change output or counters; every other knob must leave the
 output equal to the reference kernel -- bit-exact except for unrolled gamut,
-which reassociates the accumulation into ``unroll_factor`` partial sums
-(remainder chunk last, partials folded left to right).
+which reassociates the accumulation into ``unroll_factor`` lanes: point
+``i`` goes to lane ``i % unroll_factor``, each lane starts from its first
+term (a lane with no points is zero), and the lanes fold left to right
+before the bias terms.  Every gamut variant runs the reference point-major
+loop (``kernels.gamut_point_major``); the channel-sequential ones call it
+once per channel and so recompute the distances each time.
 """
 
 from __future__ import annotations
@@ -38,13 +42,12 @@ import numpy as np
 
 from .cache import ConstCacheSim
 from .images import PlanarImage, RawBayerImage
-from .kernels import F32, STAGE_NAMES, tone_index
+from .kernels import F32, STAGE_NAMES, gamut_point_major, tone_index
 from .params import GamutParams, PipelineParams, ToneLUT, TransformMatrix
 
 READONLY_MODES = ("none", "const_cache", "buffered")
 READONLY_STAGES = ("transform", "gamut", "tonemap")
 DEFAULT_CACHE_BYTES = 16384
-GAMUT_CHUNK = 1024
 
 # named configurations exercised by the harness, per stage
 NAMED_VARIANTS = {
@@ -368,52 +371,6 @@ def _transform_variant(
     return PlanarImage(width=w, height=h, planes=out)
 
 
-def unroll_chunks(n: int, factor: int) -> tuple[int, int]:
-    """(chunk iterations, remainder length) for an unrolled reduction."""
-    full, rem = divmod(n, factor)
-    return full + (1 if rem else 0), rem
-
-
-def _gamut_channel(d: np.ndarray, gp: GamutParams, c: int, r, g, b, unroll: int):
-    """One output channel from a distance block, with lane-wise accumulation.
-
-    Lane j accumulates points j, j+u, j+2u, ... left to right (the remainder
-    chunk contributes the final element of the low lanes), then the lanes
-    fold left to right and the affine bias terms are added in order.
-    """
-    k = d.shape[0]
-    wc = gp.weights[:, c]
-    acc = None
-    for j in range(unroll):
-        sel = d[:, j::unroll]
-        if sel.shape[1] == 0:
-            lane = np.zeros(k, np.float32)
-        else:
-            prod = sel * wc[j::unroll]
-            np.cumsum(prod, axis=1, out=prod)
-            lane = prod[:, -1]
-        acc = lane.copy() if acc is None else acc + lane
-    coefs = gp.coefs
-    acc = acc + coefs[0, c]
-    acc += coefs[1, c] * r
-    acc += coefs[2, c] * g
-    acc += coefs[3, c] * b
-    return acc
-
-
-def _gamut_distance_block(r, g, b, pts):
-    t = r[:, None] - pts[:, 0]
-    np.multiply(t, t, out=t)
-    u = g[:, None] - pts[:, 1]
-    np.multiply(u, u, out=u)
-    t += u
-    np.subtract(b[:, None], pts[:, 2], out=u)
-    np.multiply(u, u, out=u)
-    t += u
-    np.sqrt(t, out=t)
-    return t
-
-
 def _gamut_variant(
     img: PlanarImage, gp: GamutParams, cfg: VariantConfig, counters: AccessCounters
 ) -> PlanarImage:
@@ -421,24 +378,13 @@ def _gamut_variant(
     pixels = w * h
     n = gp.n
     flat = img.planes.reshape(3, pixels)
-    out = np.empty((3, pixels), np.float32)
-    chunk = min(GAMUT_CHUNK, pixels)
+    u = cfg.unroll_factor
     if cfg.fused_rewrite:
-        for s in range(0, pixels, chunk):
-            e = min(s + chunk, pixels)
-            r, g, b = flat[0, s:e], flat[1, s:e], flat[2, s:e]
-            d = _gamut_distance_block(r, g, b, gp.ctrl_pts)
-            for c in range(3):
-                out[c, s:e] = _gamut_channel(d, gp, c, r, g, b, cfg.unroll_factor)
+        out = gamut_point_major(flat, gp, unroll=u)
         counters.global_reads += 3 * pixels
     else:
         # channel-sequential: the distance set is recomputed per channel
-        for c in range(3):
-            for s in range(0, pixels, chunk):
-                e = min(s + chunk, pixels)
-                r, g, b = flat[0, s:e], flat[1, s:e], flat[2, s:e]
-                d = _gamut_distance_block(r, g, b, gp.ctrl_pts)
-                out[c, s:e] = _gamut_channel(d, gp, c, r, g, b, cfg.unroll_factor)
+        out = np.concatenate([gamut_point_major(flat, gp, (c,), u) for c in range(3)])
         counters.global_reads += 9 * pixels
     counters.global_writes += 3 * pixels
     _readonly_accounting(

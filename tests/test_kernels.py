@@ -1,0 +1,86 @@
+"""Reference kernels against the scalar oracles in ``_helpers``."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from ispbench import kernels
+from ispbench.images import PlanarImage
+from ispbench.params import GamutParams, ToneLUT
+
+from _helpers import (
+    demosaic_oracle,
+    denoise_oracle,
+    gamut_oracle,
+    rand_params,
+    rand_planar,
+    rand_raw,
+    tone_oracle,
+    transform_oracle,
+)
+
+SHAPES = [(1, 1), (2, 2), (5, 3), (7, 5)]
+
+
+def bits(img: PlanarImage) -> np.ndarray:
+    return img.planes.view(np.uint32)
+
+
+@pytest.mark.parametrize("w,h", [(2, 2), (4, 6), (6, 4)])
+def test_pointwise_and_window_kernels_match_oracles(w, h):
+    params = rand_params(4)
+    raw = rand_raw(w, h, seed=w + h)  # mosaics have even sides; planar images need not
+    img = rand_planar(w + 1, h + 1, seed=w * h, lo=-0.2, hi=1.2)
+    assert np.array_equal(bits(kernels.demosaic(raw)), bits(demosaic_oracle(raw)))
+    assert np.array_equal(bits(kernels.denoise(img)), bits(denoise_oracle(img)))
+    assert np.array_equal(
+        bits(kernels.transform(img, params.transform)), bits(transform_oracle(img, params.transform))
+    )
+    assert kernels.tone_map(img, params.tone) == tone_oracle(img, params.tone)
+
+
+@pytest.mark.parametrize("n", [1, 3, 17])
+@pytest.mark.parametrize("w,h", SHAPES)
+def test_gamut_matches_oracle_bit_for_bit(w, h, n):
+    img = rand_planar(w, h, seed=10 * w + h, lo=-0.5, hi=1.5)
+    gp = rand_params(n, seed=n).gamut
+    assert np.array_equal(bits(kernels.gamut_map(img, gp)), bits(gamut_oracle(img, gp)))
+
+
+@pytest.mark.parametrize("n", [3, 17])
+def test_gamut_chunk_and_point_block_edges(monkeypatch, n):
+    # 15 pixels in chunks of 4 (last chunk 3); blocks of 2 points (last block 1)
+    monkeypatch.setattr(kernels, "CHUNK_PIXELS", 4)
+    monkeypatch.setattr(kernels, "BLOCK_SLOTS", 8)
+    img = rand_planar(5, 3, seed=2)
+    gp = rand_params(n, seed=5).gamut
+    assert np.array_equal(bits(kernels.gamut_map(img, gp)), bits(gamut_oracle(img, gp)))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_gamut_keeps_a_negative_zero_first_term(n):
+    # every point sits on the pixel, so each weighted distance is w * 0 = -0.0
+    img = rand_planar(1, 1, seed=4)
+    pixel = img.planes[:, 0, 0]
+    gp = GamutParams(
+        ctrl_pts=np.tile(pixel, (n, 1)),
+        weights=np.full((n, 3), -0.5, np.float32),
+        coefs=np.full((4, 3), -0.0, np.float32),
+    )
+    out = kernels.gamut_map(img, gp).planes
+    assert np.all(out == 0) and np.all(np.signbit(out))
+
+
+def test_tone_index_maps_non_finite_values_to_defined_rows():
+    values = np.array([np.nan, np.inf, -np.inf, -0.3, 0.5, 2.0], np.float32)
+    assert kernels.tone_index(values).tolist() == [0, 255, 0, 0, 128, 255]
+
+
+def test_tone_map_accepts_nan_pixels():
+    planes = np.full((3, 1, 2), np.nan, np.float32)
+    planes[:, 0, 1] = np.inf
+    lut = ToneLUT(np.arange(256 * 3, dtype=np.float32).reshape(256, 3))
+    out = kernels.tone_map(PlanarImage(width=2, height=1, planes=planes), lut).planes
+    assert out[:, 0, 0].tolist() == lut.lut[0].tolist()
+    assert out[:, 0, 1].tolist() == lut.lut[255].tolist()
