@@ -49,7 +49,6 @@ from .params import (
     save_params_file,
 )
 from .perfmodel import (
-    CostTable,
     KernelDescriptor,
     PipelineEstimate,
     derive_descriptor,
@@ -63,9 +62,9 @@ from .variants import (
     AccessCounters,
     VariantConfig,
     VariantError,
-    counters_for_reference,
     parse_variant,
     run_variant,
+    traffic,
 )
 
 __version__ = "0.1.0"

@@ -7,8 +7,9 @@ Examples::
     ispbench --stage pipeline --synth 768x512:noise:1
     ispbench --mode dataflow --clock virtual --channel-depth 64 --format json
 
-Exit status is 0 only when every requested variant (or the dataflow output)
-passed the equivalence gate.
+Exit status is 0 when every requested variant (or the dataflow output)
+passed the equivalence gate, 1 when one failed it, and 2 for a malformed
+flag, image or parameter file.
 """
 
 from __future__ import annotations
@@ -61,21 +62,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = HarnessConfig(
-        image_path=args.image,
-        synth_spec=args.synth,
-        params_path=args.params,
-        n_points=args.n_points,
-        stage=args.stage,
-        variants=[v for v in (args.variants or "").split(",") if v] or [],
-        reps=args.reps,
-        mode=args.mode,
-        clock=args.clock,
-        cache_size=args.cache_size,
-        channel_depth=args.channel_depth,
-        out_format=args.format,
-    )
     try:
+        cfg = HarnessConfig(
+            image_path=args.image,
+            synth_spec=args.synth,
+            params_path=args.params,
+            n_points=args.n_points,
+            stage=args.stage,
+            variants=[v for v in (args.variants or "").split(",") if v] or [],
+            reps=args.reps,
+            mode=args.mode,
+            clock=args.clock,
+            cache_size=args.cache_size,
+            channel_depth=args.channel_depth,
+            out_format=args.format,
+        )
         report = run_matrix(cfg)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

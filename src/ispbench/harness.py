@@ -24,7 +24,7 @@ from .report import BenchReport, PipelineSection, VariantRow
 from .variants import (
     NAMED_VARIANTS,
     DEFAULT_CACHE_BYTES,
-    VariantError,
+    VariantConfig,
     equivalence_tolerance,
     max_rel_deviation,
     parse_variant,
@@ -59,6 +59,19 @@ class HarnessConfig:
             raise ValueError(f"unknown clock {self.clock!r}")
         if self.out_format not in ("text", "csv", "json"):
             raise ValueError(f"unknown format {self.out_format!r}")
+        if self.stage in STAGE_NAMES and self.mode == "sequential":
+            if self.cache_size is not None:  # rejects a size that is no power of two >= 64
+                VariantConfig(cache_size_bytes=self.cache_size)
+            for label in self.variants:
+                self.variant_config(label)
+
+    def variant_config(self, label: str) -> VariantConfig:
+        """The config ``label`` names on this stage; ``cache_size`` sets an unsized C."""
+        vcfg = parse_variant(label)
+        if self.cache_size is not None and vcfg.readonly_mode == "const_cache" and "_" not in label:
+            vcfg = dataclasses.replace(vcfg, cache_size_bytes=self.cache_size)
+        vcfg.validate_for(self.stage)
+        return vcfg
 
 
 def parse_synth_spec(spec: str) -> RawBayerImage:
@@ -153,7 +166,6 @@ def run_matrix(cfg: HarnessConfig, perturb=None) -> BenchReport:
     to a variant's output before the equivalence gate.
     """
     raw, params, perf, image_desc = load_harness_inputs(cfg)
-    costs = perfmodel.CostTable.from_dict(perf.costs)
     meta = _meta(cfg, raw, params, image_desc)
     report = BenchReport(timestamp=_timestamp(), meta=meta)
 
@@ -196,21 +208,7 @@ def run_matrix(cfg: HarnessConfig, perturb=None) -> BenchReport:
 
     labels = cfg.variants or list(NAMED_VARIANTS[stage])
     for label in labels:
-        try:
-            vcfg = parse_variant(label)
-            if (
-                cfg.cache_size is not None
-                and vcfg.readonly_mode == "const_cache"
-                and "_" not in label
-            ):
-                vcfg = dataclasses.replace(vcfg, cache_size_bytes=cfg.cache_size)
-            vcfg.validate_for(stage)
-        except VariantError as exc:
-            report.rows.append(
-                VariantRow(stage=stage, variant=label, status="INVALID", note=str(exc))
-            )
-            continue
-
+        vcfg = cfg.variant_config(label)
         out, counters = run_variant(stage, vcfg, data, params)
         if perturb is not None:
             out = perturb(stage, label, out)
@@ -219,7 +217,7 @@ def run_matrix(cfg: HarnessConfig, perturb=None) -> BenchReport:
         passed = deviation == 0.0 if tol == 0.0 else deviation <= tol
         estimate = perfmodel.estimate(
             perfmodel.derive_descriptor(stage, vcfg, raw.width, raw.height, params.gamut.n, perf),
-            costs,
+            perf.costs,
         )
         if not passed:
             report.rows.append(

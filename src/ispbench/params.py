@@ -94,11 +94,6 @@ class GamutParams:
     def n(self) -> int:
         return self.ctrl_pts.shape[0]
 
-    @property
-    def readonly_bytes(self) -> int:
-        """Size of the flat read-only region: points, weights, coefs."""
-        return 4 * (6 * self.n + 12)
-
     def __eq__(self, other):
         if not isinstance(other, GamutParams):
             return NotImplemented

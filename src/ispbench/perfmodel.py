@@ -23,12 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .params import PerfModelConfig
-from .variants import (
-    VariantConfig,
-    gamut_region_bytes,
-    tone_region_bytes,
-    transform_region_bytes,
-)
+from .variants import VariantConfig, region_words
 
 
 @dataclass(frozen=True)
@@ -52,18 +47,6 @@ class KernelDescriptor:
             raise ValueError("inner trip must be >= 0 and unroll >= 1")
         if self.pipeline_depth < 1 or self.assumed_dep_ii < 1:
             raise ValueError("pipeline depth and assumed-dependence II must be >= 1")
-
-
-@dataclass(frozen=True)
-class CostTable:
-    base_cost: float = 50.0
-    datapath_cost: float = 4.0
-    ram_cost: float = 0.05
-    capacity: float = 100000.0
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CostTable":
-        return cls(**{k: float(d[k]) for k in ("base_cost", "datapath_cost", "ram_cost", "capacity") if k in d})
 
 
 @dataclass(frozen=True)
@@ -108,16 +91,17 @@ def estimate_cycles(d: KernelDescriptor, ii: int | None = None) -> int:
     return d.outer_trip * body_cycles(d, ii)
 
 
-def estimate_resources(d: KernelDescriptor, costs: CostTable) -> tuple[float, bool]:
+def estimate_resources(d: KernelDescriptor, costs: dict) -> tuple[float, bool]:
+    """Resource units and whether they fit; ``costs`` is ``PerfModelConfig.costs``."""
     units = (
-        costs.base_cost
-        + d.unroll_factor * costs.datapath_cost * d.mem_ops_per_iter
-        + d.buffer_bytes * costs.ram_cost
+        costs["base_cost"]
+        + d.unroll_factor * costs["datapath_cost"] * d.mem_ops_per_iter
+        + d.buffer_bytes * costs["ram_cost"]
     )
-    return units, units <= costs.capacity
+    return units, units <= costs["capacity"]
 
 
-def estimate(d: KernelDescriptor, costs: CostTable) -> PipelineEstimate:
+def estimate(d: KernelDescriptor, costs: dict) -> PipelineEstimate:
     ii = estimate_ii(d)
     units, fits = estimate_resources(d, costs)
     return PipelineEstimate(
@@ -150,13 +134,6 @@ def derive_descriptor(
     fused = cfg.fused_rewrite or stage == "demosaic"
     outer = pixels if fused else 3 * pixels
     inner = n_points if stage == "gamut" else 0
-    buffer_bytes = 0
-    if cfg.readonly_mode == "buffered":
-        buffer_bytes = {
-            "transform": transform_region_bytes(),
-            "gamut": gamut_region_bytes(n_points),
-            "tonemap": tone_region_bytes(),
-        }[stage]
     return KernelDescriptor(
         outer_trip=outer,
         inner_trip=inner,
@@ -168,7 +145,7 @@ def derive_descriptor(
         assumed_dep_ii=perf.assumed_dep_ii,
         mem_ops_per_iter=_MEM_OPS[stage][cfg.fused_rewrite],
         readonly_mode=cfg.readonly_mode,
-        buffer_bytes=buffer_bytes,
+        buffer_bytes=4 * region_words(stage, n_points) if cfg.readonly_mode == "buffered" else 0,
     )
 
 
@@ -179,11 +156,11 @@ def rank_variants(
     height: int,
     n_points: int,
     perf: PerfModelConfig | None = None,
-    costs: CostTable | None = None,
+    costs: dict | None = None,
 ) -> list[tuple[VariantConfig, PipelineEstimate]]:
     """Sort configs by estimated cycles; ties by resources, then input order."""
     perf = perf or PerfModelConfig()
-    costs = costs or CostTable.from_dict(perf.costs)
+    costs = costs or perf.costs
     rows = []
     for idx, cfg in enumerate(cfgs):
         cfg.validate_for(stage)

@@ -42,7 +42,7 @@ CSV_HEADER = ",".join(CSV_COLUMNS) + "\n"
 class VariantRow:
     stage: str
     variant: str
-    status: str  # PASS | FAILED | INVALID
+    status: str  # PASS | FAILED
     max_deviation: float | None = None
     tolerance: float | None = None
     wall_time_mean: float | None = None

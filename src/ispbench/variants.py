@@ -1,4 +1,4 @@
-"""Optimization-variant engine: configurable kernels with traffic instrumentation.
+"""Optimization-variant engine: the reference kernels plus one traffic model.
 
 A variant is described by ``VariantConfig`` and a short label built from the
 knob letters::
@@ -14,36 +14,46 @@ so ``RIWB+U6`` is restrict+ivdep, fused, buffered, unroll 6, and ``C_128``
 is a 128 KB constant cache alone.  ``base`` (or the empty string) is the
 unoptimized channel-sequential kernel.
 
-Counters model the nominal single-work-item loop of each variant: the
-arithmetic itself is vectorized, but every loop level bumps the counters it
-would have generated, and constant-cache runs replay the exact per-pixel
-offset trace through the simulator.  Read-only regions are flat and
-contiguous per kernel (gamut: control points, then weights, then the bias
-coefficients), and the per-pixel access order is an ascending sweep of that
-region.
+A variant run has three parts:
 
-R and I never change output or counters; every other knob must leave the
-output equal to the reference kernel -- bit-exact except for unrolled gamut,
-which reassociates the accumulation into ``unroll_factor`` lanes: point
-``i`` goes to lane ``i % unroll_factor``, each lane starts from its first
-term (a lane with no points is zero), and the lanes fold left to right
-before the bias terms.  Every gamut variant runs the reference point-major
-loop (``kernels.gamut_point_major``); the channel-sequential ones call it
-once per channel and so recompute the distances each time.
+1. the reference kernel.  Demosaic, denoise, transform and tone map run
+   ``kernels.reference_stage`` whatever the config; gamut runs the
+   reference point-major loop (``kernels.gamut_point_major``) with
+   ``unroll_factor`` lanes, once per channel when channel-sequential, so
+   that variant recomputes the distances for every channel;
+2. ``traffic``: the counters of the variant's nominal single-work-item
+   loop, from one table of global reads per pixel (fused and
+   channel-sequential) and the size of each stage's flat read-only region
+   (``region_words``; gamut: control points, then weights, then the bias
+   coefficients);
+3. the cache replay: the read-only accesses as ``(trace, repeats)`` passes
+   of byte offsets, each an ascending sweep of the region per pixel,
+   replayed through ``ConstCacheSim.access_repeated``.  The tone map's
+   accesses depend on the pixel values, so its trace is one pass over the
+   whole image with ``repeats=1``.
+
+R and I change neither the output nor the counters; they only feed the
+analytic model, so rows that differ only in R and I differ in wall time by
+noise.  Fused versus channel-sequential and unrolling change the work.  The
+output equals the reference kernel's bit for bit, except for unrolled
+gamut, which reassociates the accumulation into ``unroll_factor`` lanes:
+point ``i`` goes to lane ``i % unroll_factor``, each lane starts from its
+first term (a lane with no points is zero), and the lanes fold left to
+right before the bias terms.
 """
 
 from __future__ import annotations
 
 import re
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .cache import ConstCacheSim
-from .images import PlanarImage, RawBayerImage
-from .kernels import F32, STAGE_NAMES, gamut_point_major, tone_index
-from .params import GamutParams, PipelineParams, ToneLUT, TransformMatrix
+from .images import PlanarImage
+from .kernels import STAGE_NAMES, gamut_point_major, reference_stage, tone_index
+from .params import TONE_LEVELS, PipelineParams
 
 READONLY_MODES = ("none", "const_cache", "buffered")
 READONLY_STAGES = ("transform", "gamut", "tonemap")
@@ -200,221 +210,74 @@ class AccessCounters:
         return self.traffic_fields() == other.traffic_fields()
 
 
-# ---------------------------------------------------------------------------
-# Read-only region layouts (word = 4-byte float)
-# ---------------------------------------------------------------------------
-
-def transform_region_bytes() -> int:
-    return 36
-
-
-def gamut_region_bytes(n: int) -> int:
-    return 4 * (6 * n + 12)
-
-
-def tone_region_bytes() -> int:
-    return 4 * 256 * 3
+# global reads of pixel data per pixel, (channel-sequential, fused): demosaic
+# reads 9 mosaic values at R/B sites and 5 at G sites, denoise a 3x3 window
+# per channel in either loop order, and the channel-sequential transform and
+# gamut re-read r, g and b for every output channel
+GLOBAL_READS = {
+    "demosaic": (7, 7),
+    "denoise": (27, 27),
+    "transform": (9, 3),
+    "gamut": (9, 3),
+    "tonemap": (3, 3),
+}
 
 
-def transform_trace(fused: bool):
-    """Per-pixel byte-offset traces over the 3x3 matrix region."""
-    if fused:
-        return [4 * np.arange(9, dtype=np.int64)]
-    return [4 * (3 * c + np.arange(3, dtype=np.int64)) for c in range(3)]
+def region_words(stage: str, n: int) -> int:
+    """Size of a stage's flat read-only region in 4-byte words."""
+    return {"transform": 9, "gamut": 6 * n + 12, "tonemap": 3 * TONE_LEVELS}[stage]
 
 
-def gamut_trace(n: int, fused: bool):
-    """Per-pixel traces over [points | weights | coefs]; ascending sweeps."""
-    if fused:
-        return [4 * np.arange(6 * n + 12, dtype=np.int64)]
-    traces = []
-    for c in range(3):
-        pts = np.arange(3 * n, dtype=np.int64)
-        wcol = 3 * n + 3 * np.arange(n, dtype=np.int64) + c
-        ccol = 6 * n + 3 * np.arange(4, dtype=np.int64) + c
-        traces.append(4 * np.concatenate([pts, wcol, ccol]))
-    return traces
+def _passes(stage: str, fused: bool, n: int, pixels: int, indices) -> list:
+    """Read-only byte-offset traces as ``(trace, repeats)`` passes."""
+    if stage == "tonemap":
+        if indices is None:
+            raise ValueError("the tone map's trace needs its (3, pixels) LUT indices")
+        word = 3 * indices + np.arange(3)[:, None]
+        if fused:
+            return [(4 * word.T.reshape(-1), 1)]  # per pixel: R, G, B accesses
+        return [(4 * word[c], 1) for c in range(3)]  # one pass per channel
+    if stage == "transform":
+        per_pixel = [np.arange(9)] if fused else [3 * c + np.arange(3) for c in range(3)]
+    elif fused:
+        per_pixel = [np.arange(6 * n + 12)]
+    else:  # every point, then channel c's weight column and bias column
+        points = np.arange(3 * n)
+        per_pixel = [
+            np.concatenate([points, 3 * n + 3 * np.arange(n) + c, 6 * n + 3 * np.arange(4) + c])
+            for c in range(3)
+        ]
+    return [(4 * trace, pixels) for trace in per_pixel]
 
 
-# ---------------------------------------------------------------------------
-# Instrumented kernels
-# ---------------------------------------------------------------------------
+def traffic(
+    stage: str, cfg: VariantConfig, width: int, height: int, n_points: int, indices=None
+) -> AccessCounters:
+    """Counters of a variant's nominal loop; the tone map also needs ``indices``.
 
-def _demosaic_variant(raw: RawBayerImage, counters: AccessCounters) -> PlanarImage:
-    """Row-by-row bilinear RGGB interpolation (independent of the reference)."""
-    h, w = raw.height, raw.width
-    mos = raw.mosaic
-    quarter = F32(0.25)
-    half = F32(0.5)
-    out = np.empty((3, h, w), np.float32)
-
-    def padded(y):
-        row = np.empty(w + 2, np.float32)
-        row[1:-1] = mos[y]
-        row[0] = mos[y, 0]
-        row[-1] = mos[y, -1]
-        return row
-
-    for y in range(h):
-        ym = padded(max(y - 1, 0))
-        yc = padded(y)
-        yp = padded(min(y + 1, h - 1))
-        ctr = yc[1:-1]
-        up, dn = ym[1:-1], yp[1:-1]
-        lf, rt = yc[:-2], yc[2:]
-        ul, ur = ym[:-2], ym[2:]
-        dl, dr = yp[:-2], yp[2:]
-        r, g, b = out[0, y], out[1, y], out[2, y]
-        if y % 2 == 0:
-            ee, eo = np.s_[0::2], np.s_[1::2]
-            r[ee] = ctr[ee]
-            g[ee] = (((up[ee] + dn[ee]) + lf[ee]) + rt[ee]) * quarter
-            b[ee] = (((ul[ee] + ur[ee]) + dl[ee]) + dr[ee]) * quarter
-            g[eo] = ctr[eo]
-            r[eo] = (lf[eo] + rt[eo]) * half
-            b[eo] = (up[eo] + dn[eo]) * half
-        else:
-            oe, oo = np.s_[0::2], np.s_[1::2]
-            g[oe] = ctr[oe]
-            r[oe] = (up[oe] + dn[oe]) * half
-            b[oe] = (lf[oe] + rt[oe]) * half
-            b[oo] = ctr[oo]
-            g[oo] = (((up[oo] + dn[oo]) + lf[oo]) + rt[oo]) * quarter
-            r[oo] = (((ul[oo] + ur[oo]) + dl[oo]) + dr[oo]) * quarter
-        # 9 mosaic reads at R/B sites, 5 at G sites: 7 per pixel on average
-        counters.global_reads += (w // 2) * 9 + (w // 2) * 5
-        counters.global_writes += 3 * w
-    return PlanarImage(width=w, height=h, planes=out)
-
-
-def _median_plane(plane: np.ndarray) -> np.ndarray:
-    h, w = plane.shape
-    p = np.pad(plane, 1, mode="edge")
-    stack = np.empty((h, w, 9), np.float32)
-    k = 0
-    for dy in range(3):
-        for dx in range(3):
-            stack[..., k] = p[dy : dy + h, dx : dx + w]
-            k += 1
-    stack.sort(axis=-1)
-    return stack[..., 4]
-
-
-def _denoise_variant(
-    img: PlanarImage, cfg: VariantConfig, counters: AccessCounters
-) -> PlanarImage:
-    # 9 window reads and 1 write per (pixel, channel) in either loop order
-    h, w = img.height, img.width
-    out = np.empty_like(img.planes)
-    for c in range(3):
-        out[c] = _median_plane(img.planes[c])
-        counters.global_reads += 9 * w * h
-        counters.global_writes += w * h
-    return PlanarImage(width=w, height=h, planes=out)
-
-
-def _readonly_accounting(
-    counters: AccessCounters,
-    cfg: VariantConfig,
-    region_bytes: int,
-    per_pixel_traces,
-    pixels: int,
-    dynamic_traces=None,
-) -> None:
-    """Record read-only traffic for one kernel run.
-
-    ``per_pixel_traces`` is a list of per-pixel offset traces replayed once
-    per pixel each (one entry per channel pass for unfused kernels).  Value
-    dependent kernels pass full ``dynamic_traces`` instead.
+    Uncached read-only operands count every access, buffered ones the
+    one-time fill of the region, and constant-cache ones the simulator's
+    hits and misses.
     """
-    elements = region_bytes // 4
-    if cfg.readonly_mode == "none":
-        if dynamic_traces is not None:
-            counters.readonly_reads += sum(len(t) for t in dynamic_traces)
-        else:
-            counters.readonly_reads += sum(len(t) for t in per_pixel_traces) * pixels
-        return
+    pixels = width * height
+    counters = AccessCounters(
+        global_reads=GLOBAL_READS[stage][cfg.fused_rewrite] * pixels, global_writes=3 * pixels
+    )
+    if stage not in READONLY_STAGES:
+        return counters
+    words = region_words(stage, n_points)
     if cfg.readonly_mode == "buffered":
-        counters.readonly_reads += elements
-        counters.buffer_bytes += region_bytes
-        return
-    sim = ConstCacheSim(cfg.cache_size_bytes, region_bytes)
-    if dynamic_traces is not None:
-        for trace in dynamic_traces:
-            sim.access_trace(trace)
-    else:
-        for trace in per_pixel_traces:
-            sim.access_repeated(trace, pixels)
-    counters.cache_hits += sim.hits
-    counters.cache_misses += sim.misses
-
-
-def _transform_variant(
-    img: PlanarImage, m: TransformMatrix, cfg: VariantConfig, counters: AccessCounters
-) -> PlanarImage:
-    h, w = img.height, img.width
-    pixels = w * h
-    r, g, b = img.planes
-    mm = m.m
-    out = np.empty_like(img.planes)
-    for c in range(3):
-        out[c] = (mm[c, 0] * r + mm[c, 1] * g) + mm[c, 2] * b
-    if cfg.fused_rewrite:
-        counters.global_reads += 3 * pixels
-    else:
-        # channel-sequential: each output element re-reads r, g, and b
-        counters.global_reads += 9 * pixels
-    counters.global_writes += 3 * pixels
-    _readonly_accounting(
-        counters, cfg, transform_region_bytes(), transform_trace(cfg.fused_rewrite), pixels
-    )
-    return PlanarImage(width=w, height=h, planes=out)
-
-
-def _gamut_variant(
-    img: PlanarImage, gp: GamutParams, cfg: VariantConfig, counters: AccessCounters
-) -> PlanarImage:
-    h, w = img.height, img.width
-    pixels = w * h
-    n = gp.n
-    flat = img.planes.reshape(3, pixels)
-    u = cfg.unroll_factor
-    if cfg.fused_rewrite:
-        out = gamut_point_major(flat, gp, unroll=u)
-        counters.global_reads += 3 * pixels
-    else:
-        # channel-sequential: the distance set is recomputed per channel
-        out = np.concatenate([gamut_point_major(flat, gp, (c,), u) for c in range(3)])
-        counters.global_reads += 9 * pixels
-    counters.global_writes += 3 * pixels
-    _readonly_accounting(
-        counters, cfg, gamut_region_bytes(n), gamut_trace(n, cfg.fused_rewrite), pixels
-    )
-    return PlanarImage(width=w, height=h, planes=out.reshape(3, h, w))
-
-
-def _tone_variant(
-    img: PlanarImage, lut: ToneLUT, cfg: VariantConfig, counters: AccessCounters
-) -> PlanarImage:
-    h, w = img.height, img.width
-    pixels = w * h
-    out = np.empty_like(img.planes)
-    indices = np.empty((3, pixels), np.int64)
-    for c in range(3):
-        idx = tone_index(img.planes[c])
-        indices[c] = idx.reshape(pixels)
-        out[c] = lut.lut[idx, c]
-    counters.global_reads += 3 * pixels
-    counters.global_writes += 3 * pixels
-    word = 3 * indices + np.arange(3, dtype=np.int64)[:, None]
-    if cfg.fused_rewrite:
-        traces = [4 * word.T.reshape(-1)]  # per pixel: R, G, B accesses
-    else:
-        traces = [4 * word[c] for c in range(3)]  # per channel pass
-    _readonly_accounting(
-        counters, cfg, tone_region_bytes(), None, pixels, dynamic_traces=traces
-    )
-    return PlanarImage(width=w, height=h, planes=out)
+        counters.readonly_reads, counters.buffer_bytes = words, 4 * words
+        return counters
+    passes = _passes(stage, cfg.fused_rewrite, n_points, pixels, indices)
+    if cfg.readonly_mode == "none":
+        counters.readonly_reads = sum(len(trace) * repeats for trace, repeats in passes)
+        return counters
+    sim = ConstCacheSim(cfg.cache_size_bytes, 4 * words)
+    for trace, repeats in passes:
+        sim.access_repeated(trace, repeats)
+    counters.cache_hits, counters.cache_misses = sim.hits, sim.misses
+    return counters
 
 
 def run_variant(
@@ -422,65 +285,16 @@ def run_variant(
 ) -> tuple[PlanarImage, AccessCounters]:
     """Run one instrumented kernel variant; rejects invalid pairings first."""
     cfg.validate_for(stage)
-    counters = AccessCounters()
     t0 = time.perf_counter()
-    if stage == "demosaic":
-        out = _demosaic_variant(data, counters)
-    elif stage == "denoise":
-        out = _denoise_variant(data, cfg, counters)
-    elif stage == "transform":
-        out = _transform_variant(data, params.transform, cfg, counters)
-    elif stage == "gamut":
-        out = _gamut_variant(data, params.gamut, cfg, counters)
-    elif stage == "tonemap":
-        out = _tone_variant(data, params.tone, cfg, counters)
+    if stage == "gamut":
+        flat = data.planes.reshape(3, -1)
+        channels = [(0, 1, 2)] if cfg.fused_rewrite else [(c,) for c in range(3)]
+        planes = [gamut_point_major(flat, params.gamut, ch, cfg.unroll_factor) for ch in channels]
+        planes = np.concatenate(planes).reshape(data.planes.shape)
+        out = PlanarImage(width=data.width, height=data.height, planes=planes)
     else:
-        raise VariantError(f"unknown stage {stage!r}")
+        out = reference_stage(stage, data, params)
+    indices = tone_index(data.planes).reshape(3, -1) if stage == "tonemap" else None
+    counters = traffic(stage, cfg, out.width, out.height, params.gamut.n, indices)
     counters.wall_time = time.perf_counter() - t0
     return out, counters
-
-
-def counters_for_reference(
-    stage: str,
-    width: int,
-    height: int,
-    n_points: int = 3611,
-    readonly_mode: str = "none",
-) -> AccessCounters:
-    """Closed-form traffic prediction for the per-pixel loop at unroll 1.
-
-    Used to audit the instrumentation.  Cache hit/miss splits depend on the
-    trace and cache size, so ``const_cache`` predictions are not available
-    here; run the simulator instead.
-    """
-    if readonly_mode == "const_cache":
-        raise ValueError("const_cache prediction requires the cache simulator")
-    if readonly_mode not in ("none", "buffered"):
-        raise ValueError(f"unknown readonly mode {readonly_mode!r}")
-    pixels = width * height
-    c = AccessCounters()
-    per_pixel_readonly = {"transform": 9, "gamut": 6 * n_points + 12, "tonemap": 3}
-    if stage == "demosaic":
-        c.global_reads = 7 * pixels
-        c.global_writes = 3 * pixels
-    elif stage == "denoise":
-        c.global_reads = 27 * pixels
-        c.global_writes = 3 * pixels
-    elif stage in per_pixel_readonly:
-        c.global_reads = 3 * pixels
-        c.global_writes = 3 * pixels
-        region_elements = {
-            "transform": 9,
-            "gamut": 6 * n_points + 12,
-            "tonemap": 256 * 3,
-        }[stage]
-        if readonly_mode == "none":
-            c.readonly_reads = per_pixel_readonly[stage] * pixels
-        else:
-            c.readonly_reads = region_elements
-            c.buffer_bytes = 4 * region_elements
-    else:
-        raise ValueError(f"unknown stage {stage!r}")
-    if readonly_mode == "buffered" and stage not in READONLY_STAGES:
-        raise ValueError(f"{stage} has no read-only operands")
-    return c

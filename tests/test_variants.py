@@ -1,7 +1,8 @@
 """Every variant against its oracle, with outputs and traffic counters pinned.
 
-The pinned values were taken from the variant engine before it was rebuilt
-on the reference kernels; the rebuild must reproduce them exactly.
+The pinned values come from the earlier variant engine, which re-implemented
+four of the kernels and counted traffic with a fixed formula per kernel; the
+engine built on the reference kernels and ``traffic`` reproduces them exactly.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ import numpy as np
 import pytest
 
 from ispbench import kernels
-from ispbench.kernels import STAGE_NAMES
-from ispbench.variants import run_variant, valid_variant_space
+from ispbench.kernels import STAGE_NAMES, tone_index
+from ispbench.variants import VariantConfig, run_variant, traffic, valid_variant_space
 
 from _helpers import (
     demosaic_oracle,
@@ -34,92 +35,105 @@ CACHES = (64, 16384)
 # (global_reads, global_writes, readonly_reads, cache_hits, cache_misses,
 # buffer_bytes); R, I and the unroll factor never change them
 COUNTERS = {
-    ('demosaic', '6x4', None, False, 'none'): (168, 72, 0, 0, 0, 0),
-    ('demosaic', '16x10', None, False, 'none'): (1120, 480, 0, 0, 0, 0),
-    ('denoise', '6x4', None, False, 'none'): (648, 72, 0, 0, 0, 0),
-    ('denoise', '6x4', None, True, 'none'): (648, 72, 0, 0, 0, 0),
-    ('denoise', '16x10', None, False, 'none'): (4320, 480, 0, 0, 0, 0),
-    ('denoise', '16x10', None, True, 'none'): (4320, 480, 0, 0, 0, 0),
-    ('transform', '6x4', None, False, 'none'): (216, 72, 216, 0, 0, 0),
-    ('transform', '6x4', None, False, 'C64'): (216, 72, 0, 215, 1, 0),
-    ('transform', '6x4', None, False, 'B'): (216, 72, 9, 0, 0, 36),
-    ('transform', '6x4', None, True, 'none'): (72, 72, 216, 0, 0, 0),
-    ('transform', '6x4', None, True, 'C64'): (72, 72, 0, 215, 1, 0),
-    ('transform', '6x4', None, True, 'B'): (72, 72, 9, 0, 0, 36),
-    ('transform', '6x4', None, False, 'C16384'): (216, 72, 0, 215, 1, 0),
-    ('transform', '6x4', None, True, 'C16384'): (72, 72, 0, 215, 1, 0),
-    ('transform', '16x10', None, False, 'none'): (1440, 480, 1440, 0, 0, 0),
-    ('transform', '16x10', None, False, 'C64'): (1440, 480, 0, 1439, 1, 0),
-    ('transform', '16x10', None, False, 'B'): (1440, 480, 9, 0, 0, 36),
-    ('transform', '16x10', None, True, 'none'): (480, 480, 1440, 0, 0, 0),
-    ('transform', '16x10', None, True, 'C64'): (480, 480, 0, 1439, 1, 0),
-    ('transform', '16x10', None, True, 'B'): (480, 480, 9, 0, 0, 36),
-    ('transform', '16x10', None, False, 'C16384'): (1440, 480, 0, 1439, 1, 0),
-    ('transform', '16x10', None, True, 'C16384'): (480, 480, 0, 1439, 1, 0),
-    ('gamut', '6x4', 3, False, 'none'): (216, 72, 1152, 0, 0, 0),
-    ('gamut', '6x4', 3, False, 'C64'): (216, 72, 0, 1008, 144, 0),
-    ('gamut', '6x4', 3, False, 'B'): (216, 72, 30, 0, 0, 120),
-    ('gamut', '6x4', 3, True, 'none'): (72, 72, 720, 0, 0, 0),
-    ('gamut', '6x4', 3, True, 'C64'): (72, 72, 0, 672, 48, 0),
-    ('gamut', '6x4', 3, True, 'B'): (72, 72, 30, 0, 0, 120),
-    ('gamut', '6x4', 3, False, 'C16384'): (216, 72, 0, 1150, 2, 0),
-    ('gamut', '6x4', 3, True, 'C16384'): (72, 72, 0, 718, 2, 0),
-    ('gamut', '6x4', 17, False, 'none'): (216, 72, 5184, 0, 0, 0),
-    ('gamut', '6x4', 17, False, 'C64'): (216, 72, 0, 4632, 552, 0),
-    ('gamut', '6x4', 17, False, 'B'): (216, 72, 114, 0, 0, 456),
-    ('gamut', '6x4', 17, True, 'none'): (72, 72, 2736, 0, 0, 0),
-    ('gamut', '6x4', 17, True, 'C64'): (72, 72, 0, 2544, 192, 0),
-    ('gamut', '6x4', 17, True, 'B'): (72, 72, 114, 0, 0, 456),
-    ('gamut', '6x4', 17, False, 'C16384'): (216, 72, 0, 5176, 8, 0),
-    ('gamut', '6x4', 17, True, 'C16384'): (72, 72, 0, 2728, 8, 0),
-    ('gamut', '16x10', 3, False, 'none'): (1440, 480, 7680, 0, 0, 0),
-    ('gamut', '16x10', 3, False, 'C64'): (1440, 480, 0, 6720, 960, 0),
-    ('gamut', '16x10', 3, False, 'B'): (1440, 480, 30, 0, 0, 120),
-    ('gamut', '16x10', 3, True, 'none'): (480, 480, 4800, 0, 0, 0),
-    ('gamut', '16x10', 3, True, 'C64'): (480, 480, 0, 4480, 320, 0),
-    ('gamut', '16x10', 3, True, 'B'): (480, 480, 30, 0, 0, 120),
-    ('gamut', '16x10', 3, False, 'C16384'): (1440, 480, 0, 7678, 2, 0),
-    ('gamut', '16x10', 3, True, 'C16384'): (480, 480, 0, 4798, 2, 0),
-    ('gamut', '16x10', 17, False, 'none'): (1440, 480, 34560, 0, 0, 0),
-    ('gamut', '16x10', 17, False, 'C64'): (1440, 480, 0, 30880, 3680, 0),
-    ('gamut', '16x10', 17, False, 'B'): (1440, 480, 114, 0, 0, 456),
-    ('gamut', '16x10', 17, True, 'none'): (480, 480, 18240, 0, 0, 0),
-    ('gamut', '16x10', 17, True, 'C64'): (480, 480, 0, 16960, 1280, 0),
-    ('gamut', '16x10', 17, True, 'B'): (480, 480, 114, 0, 0, 456),
-    ('gamut', '16x10', 17, False, 'C16384'): (1440, 480, 0, 34552, 8, 0),
-    ('gamut', '16x10', 17, True, 'C16384'): (480, 480, 0, 18232, 8, 0),
-    ('tonemap', '6x4', None, False, 'none'): (72, 72, 72, 0, 0, 0),
-    ('tonemap', '6x4', None, False, 'C64'): (72, 72, 0, 5, 67, 0),
-    ('tonemap', '6x4', None, False, 'B'): (72, 72, 768, 0, 0, 3072),
-    ('tonemap', '6x4', None, True, 'none'): (72, 72, 72, 0, 0, 0),
-    ('tonemap', '6x4', None, True, 'C64'): (72, 72, 0, 4, 68, 0),
-    ('tonemap', '6x4', None, True, 'B'): (72, 72, 768, 0, 0, 3072),
-    ('tonemap', '6x4', None, False, 'C16384'): (72, 72, 0, 44, 28, 0),
-    ('tonemap', '6x4', None, True, 'C16384'): (72, 72, 0, 44, 28, 0),
-    ('tonemap', '16x10', None, False, 'none'): (480, 480, 480, 0, 0, 0),
-    ('tonemap', '16x10', None, False, 'C64'): (480, 480, 0, 33, 447, 0),
-    ('tonemap', '16x10', None, False, 'B'): (480, 480, 768, 0, 0, 3072),
-    ('tonemap', '16x10', None, True, 'none'): (480, 480, 480, 0, 0, 0),
-    ('tonemap', '16x10', None, True, 'C64'): (480, 480, 0, 33, 447, 0),
-    ('tonemap', '16x10', None, True, 'B'): (480, 480, 768, 0, 0, 3072),
-    ('tonemap', '16x10', None, False, 'C16384'): (480, 480, 0, 432, 48, 0),
-    ('tonemap', '16x10', None, True, 'C16384'): (480, 480, 0, 432, 48, 0),
+    ("demosaic", "6x4", None, False, "none"): (168, 72, 0, 0, 0, 0),
+    ("demosaic", "16x10", None, False, "none"): (1120, 480, 0, 0, 0, 0),
+    ("denoise", "6x4", None, False, "none"): (648, 72, 0, 0, 0, 0),
+    ("denoise", "6x4", None, True, "none"): (648, 72, 0, 0, 0, 0),
+    ("denoise", "16x10", None, False, "none"): (4320, 480, 0, 0, 0, 0),
+    ("denoise", "16x10", None, True, "none"): (4320, 480, 0, 0, 0, 0),
+    ("transform", "6x4", None, False, "none"): (216, 72, 216, 0, 0, 0),
+    ("transform", "6x4", None, False, "C64"): (216, 72, 0, 215, 1, 0),
+    ("transform", "6x4", None, False, "B"): (216, 72, 9, 0, 0, 36),
+    ("transform", "6x4", None, True, "none"): (72, 72, 216, 0, 0, 0),
+    ("transform", "6x4", None, True, "C64"): (72, 72, 0, 215, 1, 0),
+    ("transform", "6x4", None, True, "B"): (72, 72, 9, 0, 0, 36),
+    ("transform", "6x4", None, False, "C16384"): (216, 72, 0, 215, 1, 0),
+    ("transform", "6x4", None, True, "C16384"): (72, 72, 0, 215, 1, 0),
+    ("transform", "16x10", None, False, "none"): (1440, 480, 1440, 0, 0, 0),
+    ("transform", "16x10", None, False, "C64"): (1440, 480, 0, 1439, 1, 0),
+    ("transform", "16x10", None, False, "B"): (1440, 480, 9, 0, 0, 36),
+    ("transform", "16x10", None, True, "none"): (480, 480, 1440, 0, 0, 0),
+    ("transform", "16x10", None, True, "C64"): (480, 480, 0, 1439, 1, 0),
+    ("transform", "16x10", None, True, "B"): (480, 480, 9, 0, 0, 36),
+    ("transform", "16x10", None, False, "C16384"): (1440, 480, 0, 1439, 1, 0),
+    ("transform", "16x10", None, True, "C16384"): (480, 480, 0, 1439, 1, 0),
+    ("gamut", "6x4", 3, False, "none"): (216, 72, 1152, 0, 0, 0),
+    ("gamut", "6x4", 3, False, "C64"): (216, 72, 0, 1008, 144, 0),
+    ("gamut", "6x4", 3, False, "B"): (216, 72, 30, 0, 0, 120),
+    ("gamut", "6x4", 3, True, "none"): (72, 72, 720, 0, 0, 0),
+    ("gamut", "6x4", 3, True, "C64"): (72, 72, 0, 672, 48, 0),
+    ("gamut", "6x4", 3, True, "B"): (72, 72, 30, 0, 0, 120),
+    ("gamut", "6x4", 3, False, "C16384"): (216, 72, 0, 1150, 2, 0),
+    ("gamut", "6x4", 3, True, "C16384"): (72, 72, 0, 718, 2, 0),
+    ("gamut", "6x4", 17, False, "none"): (216, 72, 5184, 0, 0, 0),
+    ("gamut", "6x4", 17, False, "C64"): (216, 72, 0, 4632, 552, 0),
+    ("gamut", "6x4", 17, False, "B"): (216, 72, 114, 0, 0, 456),
+    ("gamut", "6x4", 17, True, "none"): (72, 72, 2736, 0, 0, 0),
+    ("gamut", "6x4", 17, True, "C64"): (72, 72, 0, 2544, 192, 0),
+    ("gamut", "6x4", 17, True, "B"): (72, 72, 114, 0, 0, 456),
+    ("gamut", "6x4", 17, False, "C16384"): (216, 72, 0, 5176, 8, 0),
+    ("gamut", "6x4", 17, True, "C16384"): (72, 72, 0, 2728, 8, 0),
+    ("gamut", "16x10", 3, False, "none"): (1440, 480, 7680, 0, 0, 0),
+    ("gamut", "16x10", 3, False, "C64"): (1440, 480, 0, 6720, 960, 0),
+    ("gamut", "16x10", 3, False, "B"): (1440, 480, 30, 0, 0, 120),
+    ("gamut", "16x10", 3, True, "none"): (480, 480, 4800, 0, 0, 0),
+    ("gamut", "16x10", 3, True, "C64"): (480, 480, 0, 4480, 320, 0),
+    ("gamut", "16x10", 3, True, "B"): (480, 480, 30, 0, 0, 120),
+    ("gamut", "16x10", 3, False, "C16384"): (1440, 480, 0, 7678, 2, 0),
+    ("gamut", "16x10", 3, True, "C16384"): (480, 480, 0, 4798, 2, 0),
+    ("gamut", "16x10", 17, False, "none"): (1440, 480, 34560, 0, 0, 0),
+    ("gamut", "16x10", 17, False, "C64"): (1440, 480, 0, 30880, 3680, 0),
+    ("gamut", "16x10", 17, False, "B"): (1440, 480, 114, 0, 0, 456),
+    ("gamut", "16x10", 17, True, "none"): (480, 480, 18240, 0, 0, 0),
+    ("gamut", "16x10", 17, True, "C64"): (480, 480, 0, 16960, 1280, 0),
+    ("gamut", "16x10", 17, True, "B"): (480, 480, 114, 0, 0, 456),
+    ("gamut", "16x10", 17, False, "C16384"): (1440, 480, 0, 34552, 8, 0),
+    ("gamut", "16x10", 17, True, "C16384"): (480, 480, 0, 18232, 8, 0),
+    ("tonemap", "6x4", None, False, "none"): (72, 72, 72, 0, 0, 0),
+    ("tonemap", "6x4", None, False, "C64"): (72, 72, 0, 5, 67, 0),
+    ("tonemap", "6x4", None, False, "B"): (72, 72, 768, 0, 0, 3072),
+    ("tonemap", "6x4", None, True, "none"): (72, 72, 72, 0, 0, 0),
+    ("tonemap", "6x4", None, True, "C64"): (72, 72, 0, 4, 68, 0),
+    ("tonemap", "6x4", None, True, "B"): (72, 72, 768, 0, 0, 3072),
+    ("tonemap", "6x4", None, False, "C16384"): (72, 72, 0, 44, 28, 0),
+    ("tonemap", "6x4", None, True, "C16384"): (72, 72, 0, 44, 28, 0),
+    ("tonemap", "16x10", None, False, "none"): (480, 480, 480, 0, 0, 0),
+    ("tonemap", "16x10", None, False, "C64"): (480, 480, 0, 33, 447, 0),
+    ("tonemap", "16x10", None, False, "B"): (480, 480, 768, 0, 0, 3072),
+    ("tonemap", "16x10", None, True, "none"): (480, 480, 480, 0, 0, 0),
+    ("tonemap", "16x10", None, True, "C64"): (480, 480, 0, 33, 447, 0),
+    ("tonemap", "16x10", None, True, "B"): (480, 480, 768, 0, 0, 3072),
+    ("tonemap", "16x10", None, False, "C16384"): (480, 480, 0, 432, 48, 0),
+    ("tonemap", "16x10", None, True, "C16384"): (480, 480, 0, 432, 48, 0),
 }
 
 # sha256 over the outputs of valid_variant_space at both cache sizes, in order
 DIGESTS = {
-    ('demosaic', '6x4', None): 'd84422d264769b8d5282d0e512438d997904e18cd0c4b022de39db45e6f528ef',
-    ('demosaic', '16x10', None): '7760cac28d25b3f575bc02d0ba2f5865a40600fad387d723b635dc56950ea498',
-    ('denoise', '6x4', None): 'c91d368e465438eed7b38e776a8afe92dc65988daf31df3545a8a6815d293cca',
-    ('denoise', '16x10', None): 'a1a055fce739e2006e78cdfb00f074565380c7b64507328819856b4e7cee6e6c',
-    ('transform', '6x4', None): '6ef17f56a8a5445367659ceab3a568287f6e4716f21d45d9e5277ccd08e76dd1',
-    ('transform', '16x10', None): '27fcb4723f35fbaae78e93edb39fd43dc0f4a258820eba29872fdf5a344f55b6',
-    ('gamut', '6x4', 3): '4b714e355b204668c51fd994e2fe76c20b68783f82a0842bc81497d02941c441',
-    ('gamut', '6x4', 17): '5b25ade500629fd61a4ea1998c678b0829b336604a531750dcd4119b1389f312',
-    ('gamut', '16x10', 3): '34c7d2a57e16795caef808646b89f46b4463982a8f906289104ffde4efaa5398',
-    ('gamut', '16x10', 17): '932409d09277ffa9f86bc08886ee2ba4357d80eaa3138a34f1927946cd3f91d7',
-    ('tonemap', '6x4', None): '72024cfc820f46d2605332bc412bc0e861656d5266dd27dbb6f7eb8669933a32',
-    ('tonemap', '16x10', None): 'd149ce77e426ebf33f942e00b78d379be56868cca83e050a1a0f516e4024fed0',
+    ("demosaic", "6x4", None): "d84422d264769b8d5282d0e512438d997904e18cd0c4b022de39db45e6f528ef",
+    ("demosaic", "16x10", None): "7760cac28d25b3f575bc02d0ba2f5865a40600fad387d723b635dc56950ea498",
+    ("denoise", "6x4", None): "c91d368e465438eed7b38e776a8afe92dc65988daf31df3545a8a6815d293cca",
+    ("denoise", "16x10", None): "a1a055fce739e2006e78cdfb00f074565380c7b64507328819856b4e7cee6e6c",
+    ("transform", "6x4", None): "6ef17f56a8a5445367659ceab3a568287f6e4716f21d45d9e5277ccd08e76dd1",
+    ("transform", "16x10", None): "27fcb4723f35fbaae78e93edb39fd43dc0f4a258820eba29872fdf5a344f55b6",
+    ("gamut", "6x4", 3): "4b714e355b204668c51fd994e2fe76c20b68783f82a0842bc81497d02941c441",
+    ("gamut", "6x4", 17): "5b25ade500629fd61a4ea1998c678b0829b336604a531750dcd4119b1389f312",
+    ("gamut", "16x10", 3): "34c7d2a57e16795caef808646b89f46b4463982a8f906289104ffde4efaa5398",
+    ("gamut", "16x10", 17): "932409d09277ffa9f86bc08886ee2ba4357d80eaa3138a34f1927946cd3f91d7",
+    ("tonemap", "6x4", None): "72024cfc820f46d2605332bc412bc0e861656d5266dd27dbb6f7eb8669933a32",
+    ("tonemap", "16x10", None): "d149ce77e426ebf33f942e00b78d379be56868cca83e050a1a0f516e4024fed0",
+}
+
+# the closed-form counters_for_reference(stage, 16, 10, 17, mode) that traffic
+# replaced, for the fused loop at unroll 1
+CLOSED_FORM = {
+    ("demosaic", "none"): (1120, 480, 0, 0, 0, 0),
+    ("denoise", "none"): (4320, 480, 0, 0, 0, 0),
+    ("transform", "none"): (480, 480, 1440, 0, 0, 0),
+    ("transform", "buffered"): (480, 480, 9, 0, 0, 36),
+    ("gamut", "none"): (480, 480, 18240, 0, 0, 0),
+    ("gamut", "buffered"): (480, 480, 114, 0, 0, 456),
+    ("tonemap", "none"): (480, 480, 480, 0, 0, 0),
+    ("tonemap", "buffered"): (480, 480, 768, 0, 0, 3072),
 }
 
 ORACLES = {
@@ -145,7 +159,9 @@ def test_variant_space_matches_pinned_counters_and_outputs(stage):
                 data = rand_raw(w, h, seed=5)
             else:  # values past [0, 1] so the tone-map index clamps
                 data = rand_planar(w, h, seed=5, lo=-0.2, hi=1.2)
-            oracle = ORACLES[stage](data, params).planes.view(np.uint32) if stage in ORACLES else None
+            oracle = None
+            if stage in ORACLES:
+                oracle = ORACLES[stage](data, params).planes.view(np.uint32)
             case = (stage, f"{w}x{h}", n if stage == "gamut" else None)
             digest = hashlib.sha256()
             for cache in CACHES:
@@ -185,3 +201,16 @@ def test_gamut_variants_across_chunk_and_point_block_edges(monkeypatch):
     monkeypatch.setattr(kernels, "CHUNK_PIXELS", 5)
     monkeypatch.setattr(kernels, "BLOCK_SLOTS", 10)
     _check_gamut_space(17)
+
+
+@pytest.mark.parametrize("stage, mode", list(CLOSED_FORM))
+def test_traffic_of_the_fused_loop_equals_the_old_closed_form(stage, mode):
+    indices = tone_index(rand_planar(16, 10, seed=5).planes).reshape(3, -1)
+    cfg = VariantConfig(fused_rewrite=True, readonly_mode=mode)
+    counters = traffic(stage, cfg, 16, 10, 17, indices)
+    assert tuple(counters.traffic_fields().values()) == CLOSED_FORM[(stage, mode)]
+
+
+def test_tone_map_traffic_needs_its_indices():
+    with pytest.raises(ValueError):
+        traffic("tonemap", VariantConfig(), 16, 10, 17)
