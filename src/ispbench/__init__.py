@@ -13,7 +13,6 @@ from .dataflow import (
     StageFault,
     StageStats,
     run_pipeline_dataflow,
-    run_synthetic_stages,
     simulate_chain,
 )
 from .harness import HarnessConfig, profile_breakdown, run_matrix

@@ -53,8 +53,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=10, help="timing repetitions (default 10)")
     p.add_argument("--mode", choices=["sequential", "dataflow"], default="sequential")
     p.add_argument("--clock", choices=["wall", "virtual"], default="wall")
-    p.add_argument("--channel-depth", type=int, default=64)
-    p.add_argument("--cache-size", type=int, help="constant-cache size in bytes (power of two)")
+    p.add_argument(
+        "--channel-depth",
+        type=int,
+        default=64,
+        help="pixels per dataflow channel (default 64); the wall clock holds ceil(depth / width)"
+        " rows, the virtual clock simulates single pixels",
+    )
+    p.add_argument(
+        "--cache-size", type=int, help="constant-cache size in bytes (power of two >= 1024)"
+    )
     p.add_argument("--format", choices=["text", "csv", "json"], default="text")
     p.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
     return p

@@ -1,13 +1,15 @@
 """Channel-connected pipeline execution with stall accounting.
 
-The five stages run as concurrent workers exchanging single RGB pixel
-triples through bounded FIFO queues.  The first stage reads the mosaic from
-memory (it needs a row window, not a stream) and feeds the first channel;
-the median stage keeps an internal 3-row sliding buffer; the remaining
-stages are pointwise and process one buffered row at a time.  Arithmetic is
-delegated to the reference kernels on row slices, so the output is
+The five stages run as concurrent workers joined by bounded FIFO channels.
+One channel item is one image row, a fresh ``(3, w)`` float32 array.  The
+first stage demosaics the whole mosaic (it needs a row window, not a stream)
+and feeds its rows to the first channel; the median stage keeps a 3-row
+sliding window and emits each row once the row below it arrives; the
+remaining stages are pointwise and run their kernel on one row at a time.
+Arithmetic is delegated to the reference kernels, so the output is
 bit-identical to the sequential pipeline no matter how the workers are
-scheduled.
+scheduled.  ``ChannelConfig.depth`` counts pixels; a channel holds
+``ceil(depth / w)`` rows.
 
 Two clocks are supported:
 
@@ -15,13 +17,15 @@ Two clocks are supported:
   from the first failed push/pop attempt to the successful transfer; they
   are advisory (scheduler noise).
 * ``virtual`` -- a deterministic discrete-event simulation of the same
-  producer/consumer network.  Per-item stage latencies come from the
-  per-pixel memory-access cost of each kernel, so the imbalance matches the
-  instrumented traffic model.  In this mode ``busy + blocked_push +
-  blocked_pop == wall_time`` exactly.
+  producer/consumer network at pixel granularity, with ``depth`` pixels per
+  channel.  Per-pixel stage latencies come from the per-pixel memory-access
+  cost of each kernel, so the imbalance matches the instrumented traffic
+  model.  In this mode ``busy + blocked_push + blocked_pop == wall_time``
+  exactly.
 
-A worker fault poisons downstream queues and the run raises ``StageFault``
-naming the originating stage.
+On both clocks ``items_processed`` counts pixels.  A worker fault poisons
+downstream channels and the run raises ``StageFault`` naming the
+originating stage.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .images import PlanarImage, RawBayerImage
-from .kernels import demosaic, denoise, gamut_map, tone_map, transform
+from .kernels import demosaic, denoise, gamut_map, run_pipeline, tone_map, transform
 from .params import PipelineParams
 
 PIPELINE_STAGES = ("demosaic", "denoise", "transform", "gamut", "tonemap")
@@ -52,7 +56,7 @@ class StageFault(RuntimeError):
 
 @dataclass(frozen=True)
 class ChannelConfig:
-    depth: int = 64  # items per inter-stage queue; one item = one RGB triple
+    depth: int = 64  # pixels per inter-stage queue; the wall clock holds ceil(depth / w) rows
 
     def __post_init__(self):
         if self.depth < 1:
@@ -67,14 +71,6 @@ class StageStats:
     blocked_push_time: float = 0.0
     blocked_pop_time: float = 0.0
     wall_time: float = 0.0
-
-    @property
-    def blocked_push_fraction(self) -> float:
-        return self.blocked_push_time / self.wall_time if self.wall_time else 0.0
-
-    @property
-    def blocked_pop_fraction(self) -> float:
-        return self.blocked_pop_time / self.wall_time if self.wall_time else 0.0
 
 
 @dataclass
@@ -133,60 +129,6 @@ def simulate_chain(
     return stats, cur_push[k - 1]
 
 
-@dataclass
-class SyntheticRun:
-    stats: list[StageStats]
-    makespan: float
-
-
-def run_synthetic_stages(
-    latencies: list[float],
-    items: int,
-    ch: ChannelConfig = ChannelConfig(),
-    clock: str = "virtual",
-) -> SyntheticRun:
-    """Run a chain of fixed-latency synthetic stages and report stalls."""
-    if len(latencies) < 2:
-        raise ValueError("need at least two stages")
-    if clock == "virtual":
-        stats, makespan = simulate_chain(list(latencies), items, ch.depth)
-        return SyntheticRun(stats=stats, makespan=makespan)
-    if clock != "wall":
-        raise ValueError(f"unknown clock {clock!r}")
-
-    def spin(seconds, st):
-        t0 = time.perf_counter()
-        end = t0 + seconds
-        while time.perf_counter() < end:
-            pass
-        st.busy_time += time.perf_counter() - t0
-
-    def spin_worker(lat):
-        def work(item):
-            end = time.perf_counter() + lat
-            while time.perf_counter() < end:
-                pass
-            return [item]
-
-        return work
-
-    def feeder(channel, st):
-        for item in range(items):
-            spin(latencies[0], st)
-            channel.put(item, st)
-            st.items_processed += 1
-
-    t0 = time.perf_counter()
-    stats = _run_chain(
-        feeder,
-        "stage0",
-        [(f"stage{i}", spin_worker(lat)) for i, lat in enumerate(latencies[1:], start=1)],
-        ch.depth,
-        sink=lambda item: None,
-    )
-    return SyntheticRun(stats=stats, makespan=time.perf_counter() - t0)
-
-
 def stage_cost_units(n_points: int) -> dict[str, float]:
     """Per-pixel access-cost units for the virtual clock.
 
@@ -203,7 +145,7 @@ def stage_cost_units(n_points: int) -> dict[str, float]:
 
 
 # ---------------------------------------------------------------------------
-# Wall clock: one thread per stage, bounded queues, pixel granularity
+# Wall clock: one thread per stage, bounded queues, row granularity
 # ---------------------------------------------------------------------------
 
 class _Aborted(Exception):
@@ -267,69 +209,60 @@ class _Channel:
                 self.drain()
 
 
-def _run_chain(feeder_fn, source_name, workers, depth, sink):
-    """Linear worker chain; each worker maps one item to a list of items.
+def _run_chain(raw, stages, depth: int) -> tuple[list[StageStats], list[np.ndarray]]:
+    """Run ``stages`` as one thread each, joined by channels of ``depth`` rows.
 
-    ``feeder_fn(channel, stats)`` produces the source items.  A fault in any
-    worker aborts the run, poisons downstream, and raises ``StageFault``.
+    ``stages`` is a list of ``(name, fn)``: the first ``fn`` maps ``raw`` to
+    its rows, every later one maps one upstream row to a list of rows.  The
+    last stage's rows are returned.  A fault in any stage aborts the run,
+    poisons downstream, and raises ``StageFault``.
     """
     abort = threading.Event()
     faults: list[tuple[str, BaseException]] = []
-    k = len(workers)
-    channels = [_Channel(depth, abort) for _ in range(k)]
-    stats = [StageStats(name=source_name)] + [StageStats(name=name) for name, _ in workers]
+    k = len(stages)
+    channels = [_Channel(depth, abort) for _ in range(k - 1)]
+    stats = [StageStats(name=name) for name, _ in stages]
+    sink: list[np.ndarray] = []
 
-    def feeder():
-        st = stats[0]
-        t_start = time.perf_counter()
-        try:
-            feeder_fn(channels[0], st)
-            channels[0].put(_POISON, st)
-        except _Aborted:
-            pass
-        except BaseException as exc:  # noqa: BLE001 - reported via StageFault
-            faults.append((source_name, exc))
-            abort.set()
-            channels[0].poison()
-        finally:
-            st.wall_time = time.perf_counter() - t_start
+    def inputs(i, st):
+        if i == 0:
+            yield raw
+            return
+        while (item := channels[i - 1].get(st)) is not _POISON:
+            yield item
 
     def stage_loop(i, name, fn):
-        st = stats[i + 1]
+        st = stats[i]
         t_start = time.perf_counter()
         try:
-            while True:
-                item = channels[i].get(st)
-                if item is _POISON:
-                    if i + 1 < k:
-                        channels[i + 1].put(_POISON, st)
-                    return
+            for item in inputs(i, st):
                 t0 = time.perf_counter()
-                results = fn(item)
+                rows = fn(item)
                 st.busy_time += time.perf_counter() - t0
-                st.items_processed += 1
-                for result in results:
+                for row in rows:
                     if i + 1 < k:
-                        channels[i + 1].put(result, st)
+                        channels[i].put(row, st)
                     else:
-                        sink(result)
+                        sink.append(row)
+                    st.items_processed += row.shape[1]  # pixels, as on the virtual clock
+            if i + 1 < k:
+                channels[i].put(_POISON, st)
         except _Aborted:
             pass
         except BaseException as exc:  # noqa: BLE001 - reported via StageFault
             faults.append((name, exc))
             abort.set()
             if i + 1 < k:
-                channels[i + 1].poison()
+                channels[i].poison()
         finally:
             st.wall_time = time.perf_counter() - t_start
 
-    threads = [threading.Thread(target=feeder, name=f"dataflow-{source_name}", daemon=True)]
-    for i, (name, fn) in enumerate(workers):
-        threads.append(
-            threading.Thread(
-                target=stage_loop, args=(i, name, fn), name=f"dataflow-{name}", daemon=True
-            )
+    threads = [
+        threading.Thread(
+            target=stage_loop, args=(i, name, fn), name=f"dataflow-{name}", daemon=True
         )
+        for i, (name, fn) in enumerate(stages)
+    ]
     for t in threads:
         t.start()
     for t in threads:
@@ -337,67 +270,30 @@ def _run_chain(feeder_fn, source_name, workers, depth, sink):
     if faults:
         name, exc = faults[0]
         raise StageFault(name, exc)
-    return stats
+    return stats, sink
 
 
-def _pointwise_row_worker(stage: str, params: PipelineParams, width: int):
-    """Buffer one row of pixels, run the stage kernel on it, re-emit pixels."""
-    kernel = {
-        "transform": lambda img: transform(img, params.transform),
-        "gamut": lambda img: gamut_map(img, params.gamut),
-        "tonemap": lambda img: tone_map(img, params.tone),
-    }[stage]
+def _denoise_rows(height: int):
+    """Median worker: row ``y - 1`` once row ``y`` arrives, the last row at the end.
 
-    row = np.empty((3, 1, width), np.float32)
-    state = {"x": 0}
-
-    def process(pixel):
-        x = state["x"]
-        row[0, 0, x], row[1, 0, x], row[2, 0, x] = pixel
-        state["x"] = x + 1
-        if state["x"] < width:
-            return []
-        state["x"] = 0
-        img = kernel(PlanarImage(width=width, height=1, planes=row.copy()))
-        p = img.planes
-        return [(p[0, 0, i], p[1, 0, i], p[2, 0, i]) for i in range(width)]
-
-    return process
-
-
-def _median_middle_row(window: list[np.ndarray], width: int) -> list[tuple]:
-    """Median row from a [prev, cur, next] window of upstream rows.
-
-    The middle row of a 3-row image sees exactly this window, so the result
+    The middle row of a 3-row image sees exactly its [prev, cur, next]
+    window, with the top and bottom edges replicated, so each median row
     matches the full-image median bit for bit.
     """
-    img = PlanarImage(width=width, height=3, planes=np.stack(window, axis=1))
-    mid = denoise(img).planes[:, 1, :]
-    return [(mid[0, i], mid[1, i], mid[2, i]) for i in range(width)]
+    window: deque[np.ndarray] = deque(maxlen=3)  # trailing upstream rows, each (3, w)
+    seen = 0
 
+    def median(prev, cur, nxt):
+        planes = np.stack([prev, cur, nxt], axis=1)
+        return denoise(PlanarImage(width=cur.shape[1], height=3, planes=planes)).planes[:, 1]
 
-def _make_denoise_worker(width: int, height: int):
-    window: deque[np.ndarray] = deque(maxlen=3)  # trailing rows, each (3, width)
-    state = {"x": 0, "rows_done": 0}
-    cur = np.empty((3, width), np.float32)
-
-    def process(pixel):
-        x = state["x"]
-        cur[0, x], cur[1, x], cur[2, x] = pixel
-        state["x"] = x + 1
-        if state["x"] < width:
-            return []
-        state["x"] = 0
-        window.append(cur.copy())
-        state["rows_done"] += 1
-        done = state["rows_done"]
-        out: list[tuple] = []
-        if done == 2:  # rows 0 and 1 available: emit row 0 (top edge replicated)
-            out.extend(_median_middle_row([window[0], window[0], window[1]], width))
-        elif done >= 3:  # emit row done-2 from its full window
-            out.extend(_median_middle_row([window[0], window[1], window[2]], width))
-        if done == height:  # bottom edge: emit the last row
-            out.extend(_median_middle_row([window[-2], window[-1], window[-1]], width))
+    def process(row):
+        nonlocal seen
+        window.append(row)
+        seen += 1
+        out = [median(window[0], window[-2], window[-1])] if seen >= 2 else []
+        if seen == height:
+            out.append(median(window[-2], window[-1], window[-1]))
         return out
 
     return process
@@ -408,81 +304,41 @@ def run_pipeline_dataflow(
     params: PipelineParams,
     ch: ChannelConfig = ChannelConfig(),
     clock: str = "wall",
-    inject_fault: str | None = None,
 ) -> DataflowResult:
-    """Run the five-stage pipeline through bounded channels.
-
-    ``inject_fault`` (test hook) makes the named stage raise partway through
-    to exercise the poisoning path.
-    """
+    """Run the five-stage pipeline through bounded channels."""
     w, h = raw.width, raw.height
-    pixels = w * h
 
     if clock == "virtual":
-        if inject_fault:
-            raise ValueError("fault injection needs the wall clock")
-        img = tone_map(
-            gamut_map(transform(denoise(demosaic(raw)), params.transform), params.gamut),
-            params.tone,
-        )
         costs = stage_cost_units(params.gamut.n)
         latencies = [costs[s] for s in PIPELINE_STAGES]
-        stats, makespan = simulate_chain(latencies, pixels, ch.depth, list(PIPELINE_STAGES))
+        stats, makespan = simulate_chain(latencies, w * h, ch.depth, list(PIPELINE_STAGES))
         return DataflowResult(
-            image=img, stats={s.name: s for s in stats}, makespan=makespan, clock="virtual"
+            image=run_pipeline(raw, params),
+            stats={s.name: s for s in stats},
+            makespan=makespan,
+            clock="virtual",
         )
     if clock != "wall":
         raise ValueError(f"unknown clock {clock!r}")
 
-    def demosaic_feeder(channel, st):
-        t0 = time.perf_counter()
-        out = demosaic(raw).planes
-        st.busy_time += time.perf_counter() - t0
-        count = 0
-        for y in range(h):
-            for x in range(w):
-                channel.put((out[0, y, x], out[1, y, x], out[2, y, x]), st)
-                st.items_processed += 1
-                count += 1
-                if inject_fault == "demosaic" and count > pixels // 2:
-                    raise RuntimeError("injected fault in demosaic")
+    def row_image(row):
+        return PlanarImage(width=w, height=1, planes=row[:, None, :])
 
-    fault_count = {"n": 0}
-
-    def wrap(stage_name, fn):
-        if inject_fault != stage_name:
-            return fn
-
-        def failing(item):
-            fault_count["n"] += 1
-            if fault_count["n"] > pixels // 2:
-                raise RuntimeError(f"injected fault in {stage_name}")
-            return fn(item)
-
-        return failing
-
-    workers = [
-        ("denoise", wrap("denoise", _make_denoise_worker(w, h))),
-        ("transform", wrap("transform", _pointwise_row_worker("transform", params, w))),
-        ("gamut", wrap("gamut", _pointwise_row_worker("gamut", params, w))),
-        ("tonemap", wrap("tonemap", _pointwise_row_worker("tonemap", params, w))),
+    # kernels are looked up at call time, so a patched module attribute takes effect
+    stages = [
+        ("demosaic", lambda raw: list(demosaic(raw).planes.transpose(1, 0, 2))),
+        ("denoise", _denoise_rows(h)),
+        ("transform", lambda row: [transform(row_image(row), params.transform).planes[:, 0]]),
+        ("gamut", lambda row: [gamut_map(row_image(row), params.gamut).planes[:, 0]]),
+        ("tonemap", lambda row: [tone_map(row_image(row), params.tone).planes[:, 0]]),
     ]
-
-    collected = np.empty((3, pixels), np.float32)
-    sink_state = {"i": 0}
-
-    def sink(item):
-        i = sink_state["i"]
-        collected[0, i], collected[1, i], collected[2, i] = item
-        sink_state["i"] = i + 1
-
     t0 = time.perf_counter()
-    stats_list = _run_chain(demosaic_feeder, "demosaic", workers, ch.depth, sink)
+    stats, rows = _run_chain(raw, stages, -(-ch.depth // w))  # ceil(depth / w) rows
     makespan = time.perf_counter() - t0
 
-    if sink_state["i"] != pixels:
-        raise RuntimeError(f"sink collected {sink_state['i']} of {pixels} pixels")
-    image = PlanarImage(width=w, height=h, planes=collected.reshape(3, h, w))
+    if len(rows) != h:
+        raise RuntimeError(f"sink collected {len(rows)} of {h} rows")
+    image = PlanarImage(width=w, height=h, planes=np.stack(rows, axis=1))
     return DataflowResult(
-        image=image, stats={s.name: s for s in stats_list}, makespan=makespan, clock="wall"
+        image=image, stats={s.name: s for s in stats}, makespan=makespan, clock="wall"
     )

@@ -25,6 +25,7 @@ from .variants import (
     NAMED_VARIANTS,
     DEFAULT_CACHE_BYTES,
     VariantConfig,
+    VariantError,
     equivalence_tolerance,
     max_rel_deviation,
     parse_variant,
@@ -60,8 +61,10 @@ class HarnessConfig:
         if self.out_format not in ("text", "csv", "json"):
             raise ValueError(f"unknown format {self.out_format!r}")
         if self.stage in STAGE_NAMES and self.mode == "sequential":
-            if self.cache_size is not None:  # rejects a size that is no power of two >= 64
-                VariantConfig(cache_size_bytes=self.cache_size)
+            if self.cache_size is not None:
+                if self.cache_size < 1024:  # labels count KB, and C_0 parses back to nothing
+                    raise VariantError(f"cache size must be >= 1024 bytes, got {self.cache_size}")
+                VariantConfig(cache_size_bytes=self.cache_size)  # rejects a non-power of two
             for label in self.variants:
                 self.variant_config(label)
 
@@ -180,9 +183,8 @@ def run_matrix(cfg: HarnessConfig, perturb=None) -> BenchReport:
             "channel_depth": cfg.channel_depth,
             "output_matches": bool(matches),
             "stages": _stats_dict(result.stats),
+            "makespan": result.makespan,
         }
-        if cfg.clock == "virtual":
-            dataflow["makespan"] = result.makespan
         report.pipeline = PipelineSection(dataflow=dataflow)
         return report
 

@@ -40,8 +40,13 @@ def test_gate_failure_exits_1(monkeypatch, capsys):
         ["--stage", "gamut", "--variants", "XYZ"],
         ["--stage", "denoise", "--variants", "U6"],
         ["--stage", "gamut", "--cache-size", "100"],
+        ["--stage", "gamut", "--cache-size", "128"],
+        ["--mode", "dataflow", "--channel-depth", "0"],
     ],
-    ids=["reps_0", "unparsable_label", "unroll_on_denoise", "cache_size_100"],
+    ids=[
+        "reps_0", "unparsable_label", "unroll_on_denoise", "cache_size_100", "cache_size_128",
+        "channel_depth_0",
+    ],
 )
 def test_malformed_flags_exit_2(capsys, flags):
     assert cli.main(["--synth", "4x4:noise:1", "--n-points", "3", *flags]) == 2

@@ -1,0 +1,114 @@
+"""Channel dataflow against the sequential pipeline, on both clocks."""
+
+from __future__ import annotations
+
+import threading
+
+import pytest
+
+from ispbench import dataflow
+from ispbench.dataflow import ChannelConfig, StageFault, run_pipeline_dataflow, simulate_chain
+from ispbench.kernels import run_pipeline
+
+from _helpers import rand_params, rand_raw
+
+SHAPES = [(2, 2), (2, 4), (6, 4), (34, 18)]
+KERNELS = {
+    "demosaic": "demosaic",
+    "denoise": "denoise",
+    "transform": "transform",
+    "gamut": "gamut_map",
+    "tonemap": "tone_map",
+}
+
+
+def run_joined(fn, timeout=60.0):
+    """``fn()`` in a thread; a run that hangs fails the test instead of stalling it."""
+    box = {}
+
+    def target():
+        try:
+            box["value"] = fn()
+        except BaseException as exc:  # noqa: BLE001 - handed to the test
+            box["error"] = exc
+
+    t = threading.Thread(target=target, daemon=True)
+    t.start()
+    t.join(timeout)
+    assert not t.is_alive(), "dataflow run did not finish"
+    return box
+
+
+@pytest.mark.parametrize("w,h", SHAPES)
+def test_wall_output_equals_run_pipeline_bit_for_bit(w, h):
+    raw, params = rand_raw(w, h, seed=w * h), rand_params(4)
+    ref = run_pipeline(raw, params)
+    for depth in (1, 3, 64, w * h + 1):
+        result = run_pipeline_dataflow(raw, params, ChannelConfig(depth), clock="wall")
+        assert result.image == ref, depth
+
+
+@pytest.mark.parametrize("clock", ["wall", "virtual"])
+def test_every_stage_counts_every_pixel(clock):
+    raw, params = rand_raw(6, 4), rand_params(4)
+    result = run_pipeline_dataflow(raw, params, ChannelConfig(3), clock=clock)
+    assert list(result.stats) == list(dataflow.PIPELINE_STAGES)
+    assert all(st.items_processed == 24 for st in result.stats.values())
+    assert result.makespan > 0
+
+
+@pytest.mark.parametrize("depth", [1, 64])
+@pytest.mark.parametrize("stage", list(KERNELS))
+def test_a_failing_kernel_raises_stage_fault_naming_its_stage(monkeypatch, stage, depth):
+    w, h = 6, 8
+    fail_on = h // 2 if stage in ("transform", "gamut", "tonemap") else 1
+    original = getattr(dataflow, KERNELS[stage])
+    calls = 0
+
+    def failing(*args):
+        nonlocal calls
+        calls += 1
+        if calls == fail_on:
+            raise RuntimeError(f"fault in {stage}")
+        return original(*args)
+
+    monkeypatch.setattr(dataflow, KERNELS[stage], failing)
+    raw, params = rand_raw(w, h), rand_params(4)
+    box = run_joined(lambda: run_pipeline_dataflow(raw, params, ChannelConfig(depth)))
+    assert isinstance(box.get("error"), StageFault), box
+    assert box["error"].stage == stage
+    assert isinstance(box["error"].cause, RuntimeError)
+    assert calls == fail_on
+
+
+def test_virtual_clock_accounts_for_all_time_exactly():
+    raw, params = rand_raw(6, 4), rand_params(4)
+    result = run_pipeline_dataflow(raw, params, ChannelConfig(2), clock="virtual")
+    assert result.image == run_pipeline(raw, params)
+    for st in result.stats.values():
+        assert st.busy_time + st.blocked_push_time + st.blocked_pop_time == st.wall_time
+
+
+def test_simulate_chain_matches_a_hand_computed_depth_1_chain():
+    # latencies 1, 3, 2 and one slot per channel: the source's third item is
+    # ready at t=3 but waits until t=4, when the middle stage pops item 1;
+    # the sink waits 1 unit for items 1 and 2
+    stats, makespan = simulate_chain([1.0, 3.0, 2.0], 3, 1, ["a", "b", "c"])
+    got = [
+        (s.name, s.items_processed, s.busy_time, s.blocked_push_time, s.blocked_pop_time,
+         s.wall_time)
+        for s in stats
+    ]
+    assert got == [
+        ("a", 3, 3.0, 1.0, 0.0, 4.0),
+        ("b", 3, 9.0, 0.0, 0.0, 9.0),
+        ("c", 3, 6.0, 0.0, 2.0, 8.0),
+    ]
+    assert makespan == 12.0
+
+
+def test_bad_depth_and_unknown_clock_raise_value_error():
+    with pytest.raises(ValueError):
+        ChannelConfig(0)
+    with pytest.raises(ValueError, match="unknown clock"):
+        run_pipeline_dataflow(rand_raw(2, 2), rand_params(4), clock="sundial")

@@ -1,0 +1,23 @@
+"""Harness configuration and the dataflow mode of ``run_matrix``."""
+
+from __future__ import annotations
+
+import pytest
+
+from ispbench.harness import HarnessConfig, run_matrix
+from ispbench.variants import VariantError
+
+
+@pytest.mark.parametrize("clock", ["wall", "virtual"])
+def test_dataflow_mode_matches_and_reports_a_makespan(clock):
+    cfg = HarnessConfig(mode="dataflow", synth_spec="16x12:noise:1", n_points=5, clock=clock)
+    flow = run_matrix(cfg).pipeline.dataflow
+    assert flow["clock"] == clock and flow["output_matches"] is True
+    assert flow["makespan"] > 0
+    assert all(st["items_processed"] == 16 * 12 for st in flow["stages"].values())
+
+
+def test_cache_size_must_be_at_least_1kb():
+    with pytest.raises(VariantError, match="1024"):
+        HarnessConfig(stage="gamut", cache_size=512)
+    assert HarnessConfig(stage="gamut", cache_size=1024).variant_config("RIWC").label() == "RIWC_1"

@@ -15,7 +15,13 @@ import pytest
 
 from ispbench import kernels
 from ispbench.kernels import STAGE_NAMES, tone_index
-from ispbench.variants import VariantConfig, run_variant, traffic, valid_variant_space
+from ispbench.variants import (
+    VariantConfig,
+    parse_variant,
+    run_variant,
+    traffic,
+    valid_variant_space,
+)
 
 from _helpers import (
     demosaic_oracle,
@@ -214,3 +220,13 @@ def test_traffic_of_the_fused_loop_equals_the_old_closed_form(stage, mode):
 def test_tone_map_traffic_needs_its_indices():
     with pytest.raises(ValueError):
         traffic("tonemap", VariantConfig(), 16, 10, 17)
+
+
+@pytest.mark.parametrize("stage", STAGE_NAMES)
+def test_every_label_parses_back_to_its_config(stage):
+    for cfg in valid_variant_space(stage):
+        assert parse_variant(cfg.label()) == cfg, cfg.label()
+        if cfg.readonly_mode == "const_cache":
+            for size in (1 << k for k in range(10, 18)):  # 1 KB ... 128 KB
+                sized = dataclasses.replace(cfg, cache_size_bytes=size)
+                assert parse_variant(sized.label()) == sized, sized.label()
