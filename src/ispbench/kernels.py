@@ -17,6 +17,11 @@ control points and every addition updates the whole chunk at once, which
 keeps each pixel's sum in the order above without materializing a
 (pixels, points) block.
 
+The median is one element of its window, never an arithmetic result, and
+NaN ranks above +inf as in ``np.sort``. Equal values are interchangeable
+except for zeros: when a window holds both +0.0 and -0.0 and the median is
+zero, its sign is unspecified (it need not match the scalar oracle's).
+
 All arithmetic is float32 end to end; nothing clamps between stages (only
 the tone-map index is clamped).
 """
@@ -27,7 +32,7 @@ import time
 
 import numpy as np
 
-from .images import PlanarImage, RawBayerImage, _round_half_away, planar_from_planes
+from .images import PlanarImage, RawBayerImage, planar_from_planes
 from .params import GamutParams, PipelineParams, ToneLUT, TransformMatrix
 
 # gamut working set: a chunk of CHUNK_PIXELS pixels meets BLOCK_SLOTS // chunk
@@ -36,6 +41,24 @@ from .params import GamutParams, PipelineParams, ToneLUT, TransformMatrix
 # Xeon, 8k-16k pixels and 32k-64k slots timed best
 CHUNK_PIXELS = 16384
 BLOCK_SLOTS = 65536
+
+# median working set: a strip of MEDIAN_STRIP pixels keeps its padded rows and
+# the network's (3, strip) float32 temporaries, about 1 MB, in a per-core L2;
+# at 768x512 on a 4 MB-L2 Xeon, 8k-12k pixels timed best (13 ms), 4k and 24k
+# 10-20 % slower
+MEDIAN_STRIP = 8192
+
+# Paeth's 19 compare-exchanges for the median of nine (Devillard's opt_med9):
+# (i, j) leaves the smaller value in slot i and the larger in slot j; "lo" and
+# "hi" mark exchanges of which only that side is read again
+MEDIAN9_NETWORK = (
+    (1, 2, "both"), (4, 5, "both"), (7, 8, "both"),
+    (0, 1, "both"), (3, 4, "both"), (6, 7, "both"),
+    (1, 2, "both"), (4, 5, "both"), (7, 8, "both"),
+    (0, 3, "hi"), (5, 8, "lo"), (4, 7, "both"),
+    (3, 6, "hi"), (1, 4, "hi"), (2, 5, "lo"),
+    (4, 7, "lo"), (4, 2, "both"), (6, 4, "hi"), (4, 2, "lo"),
+)
 
 F32 = np.float32
 
@@ -93,20 +116,37 @@ def demosaic(raw: RawBayerImage) -> PlanarImage:
     return planar_from_planes(r, g, b)
 
 
+def _median9(window: list[np.ndarray]) -> np.ndarray:
+    """Elementwise fifth-smallest of nine equal-shape arrays; inputs are not written.
+
+    The compare-exchange is ``(fmin(a, b), maximum(a, b))``: a NaN goes to
+    the larger side, so NaN orders last as in ``np.sort``.
+    """
+    p = list(window)
+    for i, j, keep in MEDIAN9_NETWORK:
+        a, b = p[i], p[j]
+        if keep != "hi":
+            p[i] = np.fmin(a, b)
+        if keep != "lo":
+            p[j] = np.maximum(a, b)
+    return p[4]
+
+
 def denoise(img: PlanarImage) -> PlanarImage:
-    """Per-channel 3x3 median with edge replication (full sort of 9)."""
+    """Per-channel 3x3 median with edge replication (a selection network).
+
+    Walks row strips of about ``MEDIAN_STRIP`` pixels; each strip's nine
+    shifted views of the padded planes (dy outer, dx inner) meet in
+    ``MEDIAN9_NETWORK``.
+    """
     h, w = img.height, img.width
+    p = np.pad(img.planes, ((0, 0), (1, 1), (1, 1)), mode="edge")
     out = np.empty_like(img.planes)
-    for c in range(3):
-        p = np.pad(img.planes[c], 1, mode="edge")
-        stack = np.empty((h, w, 9), np.float32)
-        k = 0
-        for dy in range(3):
-            for dx in range(3):
-                stack[..., k] = p[dy : dy + h, dx : dx + w]
-                k += 1
-        stack.sort(axis=-1)
-        out[c] = stack[..., 4]
+    rows = max(1, MEDIAN_STRIP // w)
+    for y0 in range(0, h, rows):
+        y1 = min(y0 + rows, h)
+        window = [p[:, y0 + dy : y1 + dy, dx : dx + w] for dy in range(3) for dx in range(3)]
+        out[:, y0:y1] = _median9(window)
     return PlanarImage(width=w, height=h, planes=out)
 
 
@@ -185,9 +225,11 @@ def gamut_map(img: PlanarImage, gp: GamutParams) -> PlanarImage:
 def tone_index(values: np.ndarray) -> np.ndarray:
     """Quantize to the LUT row: clamp(round(v*255), 0, 255), ties away from 0.
 
-    NaN maps to row 0 (``fmax`` prefers the non-NaN operand), +inf to 255.
+    ``floor(x + 0.5)`` rounds ties away from zero for every ``x >= 0``, and
+    any ``x < 0`` clamps to row 0 either way. NaN maps to row 0 (``fmax``
+    prefers the non-NaN operand), +inf to 255.
     """
-    scaled = _round_half_away(values * F32(255.0))
+    scaled = np.floor(values * F32(255.0) + F32(0.5))
     return np.fmin(np.fmax(scaled, 0.0), 255.0).astype(np.int64)
 
 

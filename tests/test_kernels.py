@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ispbench import kernels
-from ispbench.images import PlanarImage
+from ispbench.images import PlanarImage, _round_half_away
 from ispbench.params import GamutParams, ToneLUT
 
 from _helpers import (
@@ -38,6 +38,54 @@ def test_pointwise_and_window_kernels_match_oracles(w, h):
         bits(kernels.transform(img, params.transform)), bits(transform_oracle(img, params.transform))
     )
     assert kernels.tone_map(img, params.tone) == tone_oracle(img, params.tone)
+
+
+def three_valued(w: int, h: int, seed: int) -> PlanarImage:
+    rng = np.random.default_rng(seed)
+    planes = rng.choice(np.array([0.25, 0.5, 0.75], np.float32), size=(3, h, w))
+    return PlanarImage(width=w, height=h, planes=planes)
+
+
+def sorted_median(img: PlanarImage) -> np.ndarray:
+    """Edge-replicated 3x3 median through ``np.sort`` (NaN sorts last)."""
+    h, w = img.height, img.width
+    p = np.pad(img.planes, ((0, 0), (1, 1), (1, 1)), mode="edge")
+    stack = np.stack([p[:, dy : dy + h, dx : dx + w] for dy in range(3) for dx in range(3)])
+    return np.sort(stack, axis=0)[4]
+
+
+@pytest.mark.parametrize("w,h", [(1, 1), (1, 5), (5, 1), (2, 2), (7, 5), (34, 18)])
+def test_denoise_matches_oracle_bit_for_bit(w, h):
+    for img in (rand_planar(w, h, seed=w * h, lo=-0.2, hi=1.2), three_valued(w, h, seed=w + h)):
+        assert np.array_equal(bits(kernels.denoise(img)), bits(denoise_oracle(img)))
+
+
+@pytest.mark.parametrize("w,h", [(7, 5), (34, 19)])
+@pytest.mark.parametrize(
+    "strip", [lambda w: 1, lambda w: 3 * w - 1, lambda w: 3 * w + 1], ids=["1", "3w-1", "3w+1"]
+)
+def test_denoise_strip_edges(monkeypatch, w, h, strip):
+    # strips of 1, 2 and 3 rows; h leaves a shorter last strip for 2 and 3
+    monkeypatch.setattr(kernels, "MEDIAN_STRIP", strip(w))
+    for img in (rand_planar(w, h, seed=3), three_valued(w, h, seed=4)):
+        assert np.array_equal(bits(kernels.denoise(img)), bits(denoise_oracle(img)))
+
+
+@pytest.mark.parametrize("w,h", [(1, 1), (2, 2), (7, 5), (34, 18)])
+def test_denoise_orders_nan_last_like_sort(w, h):
+    rng = np.random.default_rng(w * h)
+    planes = rng.choice(np.array([np.nan, np.inf, -np.inf, 0.5, 1.0], np.float32), size=(3, h, w))
+    planes[rng.random((3, h, w)) < 0.5] = np.nan
+    img = PlanarImage(width=w, height=h, planes=planes)
+    assert np.array_equal(kernels.denoise(img).planes, sorted_median(img), equal_nan=True)
+
+
+def test_denoise_signed_zero_ties_equal_oracle_by_value():
+    # the sign of a zero median is unspecified when its window holds both zeros
+    rng = np.random.default_rng(6)
+    planes = rng.choice(np.array([0.0, -0.0, 1.0], np.float32), size=(3, 8, 24))
+    img = PlanarImage(width=24, height=8, planes=planes)
+    assert np.all(kernels.denoise(img).planes == denoise_oracle(img).planes)
 
 
 @pytest.mark.parametrize("n", [1, 3, 17])
@@ -75,6 +123,17 @@ def test_gamut_keeps_a_negative_zero_first_term(n):
 def test_tone_index_maps_non_finite_values_to_defined_rows():
     values = np.array([np.nan, np.inf, -np.inf, -0.3, 0.5, 2.0], np.float32)
     assert kernels.tone_index(values).tolist() == [0, 255, 0, 0, 128, 255]
+
+
+def test_tone_index_equals_rounding_half_away_from_zero():
+    # every 4099th float32 bit pattern (both signs, subnormals, NaNs), the infinities,
+    # and the exact ties v * 255 == k + 0.5 of every row k, which the stride misses
+    pattern = np.arange(0, 2**32, 4099, dtype=np.uint64).astype(np.uint32).view(np.float32)
+    ties = (np.arange(256, dtype=np.float32) + np.float32(0.5)) / np.float32(255.0)
+    values = np.concatenate([pattern, np.float32([np.inf, -np.inf, -0.0]), ties, -ties])
+    with np.errstate(over="ignore", invalid="ignore"):  # large values, signalling NaNs
+        old = np.fmin(np.fmax(_round_half_away(values * np.float32(255.0)), 0.0), 255.0)
+        assert np.array_equal(kernels.tone_index(values), old.astype(np.int64))
 
 
 def test_tone_map_accepts_nan_pixels():
