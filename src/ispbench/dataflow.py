@@ -16,12 +16,11 @@ Two clocks are supported:
 * ``wall`` -- real threads and real queues.  Blocking times are measured
   from the first failed push/pop attempt to the successful transfer; they
   are advisory (scheduler noise).
-* ``virtual`` -- a deterministic discrete-event simulation of the same
-  producer/consumer network at pixel granularity, with ``depth`` pixels per
-  channel.  Per-pixel stage latencies come from the per-pixel memory-access
-  cost of each kernel, so the imbalance matches the instrumented traffic
-  model.  In this mode ``busy + blocked_push + blocked_pop == wall_time``
-  exactly.
+* ``virtual`` -- the exact timing of the same network with one item per
+  pixel and ``depth`` pixels per channel, in closed form: a max-plus scan
+  over blocks of ``depth`` items that stops once the chain turns periodic.
+  Latencies must be integers; they are the per-pixel access counts of the
+  traffic model.  Here ``busy + blocked_push + blocked_pop == wall_time``.
 
 On both clocks ``items_processed`` counts pixels.  A worker fault poisons
 downstream channels and the run raises ``StageFault`` naming the
@@ -41,6 +40,7 @@ import numpy as np
 from .images import PlanarImage, RawBayerImage
 from .kernels import demosaic, denoise, gamut_map, run_pipeline, tone_map, transform
 from .params import PipelineParams
+from .variants import VariantConfig, traffic
 
 PIPELINE_STAGES = ("demosaic", "denoise", "transform", "gamut", "tonemap")
 
@@ -82,66 +82,80 @@ class DataflowResult:
 
 
 # ---------------------------------------------------------------------------
-# Virtual clock: discrete-event simulation of a bounded-queue stage chain
+# Virtual clock: a block max-plus scan of a bounded-queue stage chain
 # ---------------------------------------------------------------------------
 
 def simulate_chain(
     latencies: list[float], items: int, depth: int, names: list[str] | None = None
 ) -> tuple[list[StageStats], float]:
-    """Exact steady-state timing of a linear stage chain with bounded queues.
+    """Exact timing of a linear stage chain with bounded queues.
 
     Per stage and item: wait for input (except the source), compute for the
     stage latency, then wait for space in the output queue (a slot frees
     when the consumer pops).  Waiting for the very first input is warmup,
     not blocking, so a stage's accounting starts at its first pop.
+
+    Item ``j`` of stage ``i`` pops at ``S[i][j] = max(P[i][j-1], P[i-1][j])``
+    and pushes at ``P[i][j] = max(S[i][j] + L[i], S[i+1][j-D])``, so in a
+    block of ``D`` items each stage's pushes are one max-plus scan
+    ``j*L + maximum.accumulate(a - j*L)`` over the stage before it and the
+    stage after it one block back.  Once a block equals the previous one
+    plus a constant, every later block repeats it shifted, with the same
+    sums, and the rest follows in closed form; a chain that never turns
+    periodic is scanned to the end.  Latencies must be positive integers:
+    then every sum is exact in float64 (below 2**53) in any order.
     """
-    k = len(latencies)
-    if k < 1 or items < 1:
-        raise ValueError("need at least one stage and one item")
-    if any(lat <= 0 for lat in latencies):
-        raise ValueError("latencies must be positive")
-    names = names or [f"stage{i}" for i in range(k)]
-    stats = [StageStats(name=names[i], items_processed=items) for i in range(k)]
-    pops = [np.empty(items) for _ in range(k)]  # pop time per item, per stage
-    push_done = [0.0] * k  # push completion of this stage's previous item
-    cur_push = [0.0] * k
-    for j in range(items):
+    lat = np.asarray(latencies, dtype=float)
+    k = len(lat)
+    if k < 1 or items < 1 or depth < 1:
+        raise ValueError("need at least one stage, one item and one slot per channel")
+    if not np.all(np.isfinite(lat) & (lat == np.floor(lat)) & (lat > 0)):
+        raise ValueError(f"latencies must be positive integers, got {latencies}")
+    d = min(depth, items)
+    full, rest = divmod(items, d)
+    ramp = np.arange(d) * lat[:, None]  # j * L_i
+    totals = np.zeros((2, k))  # blocked push, blocked pop
+    last = np.zeros(k)  # each stage's last push in the previous block
+    for b in range(full + (rest > 0)):
+        n = d if b < full else rest
+        P = np.empty((k, n))
         for i in range(k):
-            if j == 0:
-                start = 0.0 if i == 0 else cur_push[i - 1]
-            elif i == 0:
-                start = push_done[0]
-            else:
-                start = max(push_done[i], cur_push[i - 1])
-                stats[i].blocked_pop_time += start - push_done[i]
-            done = start + latencies[i]
-            stats[i].busy_time += latencies[i]
-            if i < k - 1 and j >= depth:
-                pushed = max(done, pops[i + 1][j - depth])
-            else:
-                pushed = done
-            stats[i].blocked_push_time += pushed - done
-            pops[i][j] = start
-            cur_push[i] = pushed
-            push_done[i] = pushed
-    for s in stats:
-        s.wall_time = s.busy_time + s.blocked_push_time + s.blocked_pop_time
-    return stats, cur_push[k - 1]
+            a = P[i - 1] + lat[i] if i else np.full(n, -np.inf)
+            if b and i < k - 1:
+                a = np.maximum(a, prev[i + 1, :n])  # S of stage i+1, D items back
+            a[0] = max(a[0], last[i] + lat[i])
+            P[i] = ramp[i, :n] + np.maximum.accumulate(a - ramp[i, :n])
+        before = np.concatenate((last[:, None], P[:, :-1]), axis=1)  # P_{j-1}
+        S = np.maximum(before, np.concatenate((before[:1], P[:-1])))  # P[i-1][j], none for i=0
+        terms = np.stack((P - S - lat[:, None], S - before))
+        if b == 0:
+            terms[1, :, 0] = 0.0  # the first pop is warmup
+        totals += terms.sum(axis=2)
+        last = P[:, -1]
+        state = np.concatenate((S, P))
+        if b and n == d and np.all(state - prev == (delta := state[0, 0] - prev[0, 0])):
+            left = full - 1 - b  # full blocks after this one, then ``rest`` items
+            totals += left * terms.sum(axis=2) + terms[:, :, :rest].sum(axis=2)
+            last = P[:, rest - 1] + (left + 1) * delta if rest else last + left * delta
+            break
+        prev = state
+    names = names or [f"stage{i}" for i in range(k)]
+    table = np.stack((items * lat, *totals, items * lat + totals[0] + totals[1]))  # exact
+    stats = [StageStats(names[i], items, *map(float, table[:, i])) for i in range(k)]
+    return stats, float(last[-1])
 
 
 def stage_cost_units(n_points: int) -> dict[str, float]:
-    """Per-pixel access-cost units for the virtual clock.
+    """The virtual latencies: per-pixel access counts of each stage's fused loop.
 
-    Reads + writes + read-only element accesses of the per-pixel loop, so
-    the stage imbalance matches the instrumented traffic model.
+    They come from the traffic model, so the imbalance matches the counters.
     """
-    return {
-        "demosaic": 10.0,
-        "denoise": 30.0,
-        "transform": 15.0,
-        "gamut": float(6 * n_points + 18),
-        "tonemap": 9.0,
-    }
+    fused, one_pixel = VariantConfig(fused_rewrite=True), np.zeros((3, 1), int)  # any LUT rows
+    costs = {}
+    for stage in PIPELINE_STAGES:
+        c = traffic(stage, fused, 1, 1, n_points, indices=one_pixel)
+        costs[stage] = float(c.global_reads + c.global_writes + c.readonly_reads)
+    return costs
 
 
 # ---------------------------------------------------------------------------

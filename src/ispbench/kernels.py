@@ -233,11 +233,20 @@ def tone_index(values: np.ndarray) -> np.ndarray:
     return np.fmin(np.fmax(scaled, 0.0), 255.0).astype(np.int64)
 
 
-def tone_map(img: PlanarImage, t: ToneLUT) -> PlanarImage:
+def _tone_map_indexed(img: PlanarImage, t: ToneLUT, rows: np.ndarray | None = None):
+    """The tone map; ``rows``, when given, receives the ``(3, h, w)`` LUT rows it read."""
     out = np.empty_like(img.planes)
     for c in range(3):
-        out[c] = t.lut[tone_index(img.planes[c]), c]
+        if rows is None:  # drop the int64 rows before the lookup result: lower peak memory
+            out[c] = t.lut[tone_index(img.planes[c]), c]
+        else:
+            rows[c] = tone_index(img.planes[c])
+            out[c] = t.lut[rows[c], c]
     return PlanarImage(width=img.width, height=img.height, planes=out)
+
+
+def tone_map(img: PlanarImage, t: ToneLUT) -> PlanarImage:
+    return _tone_map_indexed(img, t)
 
 
 def run_pipeline(

@@ -52,7 +52,7 @@ import numpy as np
 
 from .cache import ConstCacheSim
 from .images import PlanarImage
-from .kernels import STAGE_NAMES, gamut_point_major, reference_stage, tone_index
+from .kernels import STAGE_NAMES, _tone_map_indexed, gamut_point_major, reference_stage
 from .params import TONE_LEVELS, PipelineParams
 
 READONLY_MODES = ("none", "const_cache", "buffered")
@@ -206,9 +206,6 @@ class AccessCounters:
         d.pop("wall_time")
         return d
 
-    def same_traffic(self, other: "AccessCounters") -> bool:
-        return self.traffic_fields() == other.traffic_fields()
-
 
 # global reads of pixel data per pixel, (channel-sequential, fused): demosaic
 # reads 9 mosaic values at R/B sites and 5 at G sites, denoise a 3x3 window
@@ -286,15 +283,19 @@ def run_variant(
     """Run one instrumented kernel variant; rejects invalid pairings first."""
     cfg.validate_for(stage)
     t0 = time.perf_counter()
+    indices = None  # the tone map's LUT rows, for its trace
     if stage == "gamut":
         flat = data.planes.reshape(3, -1)
         channels = [(0, 1, 2)] if cfg.fused_rewrite else [(c,) for c in range(3)]
         planes = [gamut_point_major(flat, params.gamut, ch, cfg.unroll_factor) for ch in channels]
         planes = np.concatenate(planes).reshape(data.planes.shape)
         out = PlanarImage(width=data.width, height=data.height, planes=planes)
+    elif stage == "tonemap":
+        rows = np.empty(data.planes.shape, np.int64)
+        out = _tone_map_indexed(data, params.tone, rows)
+        indices = rows.reshape(3, -1)
     else:
         out = reference_stage(stage, data, params)
-    indices = tone_index(data.planes).reshape(3, -1) if stage == "tonemap" else None
     counters = traffic(stage, cfg, out.width, out.height, params.gamut.n, indices)
     counters.wall_time = time.perf_counter() - t0
     return out, counters

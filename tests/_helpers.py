@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ispbench.dataflow import StageStats
 from ispbench.images import PlanarImage, RawBayerImage, planar_from_planes
 from ispbench.params import GamutParams, PipelineParams, ToneLUT, TransformMatrix, random_gamut
 
@@ -144,6 +145,46 @@ def tone_oracle(img: PlanarImage, t: ToneLUT) -> PlanarImage:
                 idx = min(max(idx, 0), 255)
                 out[c, y, x] = t.lut[idx, c]
     return PlanarImage(width=w, height=h, planes=out)
+
+
+def simulate_chain_oracle(
+    latencies: list[float], items: int, depth: int, names: list[str] | None = None
+) -> tuple[list[StageStats], float]:
+    """Item-by-item event loop of a bounded-queue stage chain.
+
+    Per stage and item: wait for input (except the source), compute for the
+    stage latency, then wait for space in the output queue (a slot frees
+    when the consumer pops).  Waiting for the very first input is warmup,
+    not blocking, so a stage's accounting starts at its first pop.
+    """
+    k = len(latencies)
+    names = names or [f"stage{i}" for i in range(k)]
+    stats = [StageStats(name=names[i], items_processed=items) for i in range(k)]
+    pops = [np.empty(items) for _ in range(k)]  # pop time per item, per stage
+    push_done = [0.0] * k  # push completion of this stage's previous item
+    cur_push = [0.0] * k
+    for j in range(items):
+        for i in range(k):
+            if j == 0:
+                start = 0.0 if i == 0 else cur_push[i - 1]
+            elif i == 0:
+                start = push_done[0]
+            else:
+                start = max(push_done[i], cur_push[i - 1])
+                stats[i].blocked_pop_time += start - push_done[i]
+            done = start + latencies[i]
+            stats[i].busy_time += latencies[i]
+            if i < k - 1 and j >= depth:
+                pushed = max(done, pops[i + 1][j - depth])
+            else:
+                pushed = done
+            stats[i].blocked_push_time += pushed - done
+            pops[i][j] = start
+            cur_push[i] = pushed
+            push_done[i] = pushed
+    for s in stats:
+        s.wall_time = s.busy_time + s.blocked_push_time + s.blocked_pop_time
+    return stats, cur_push[k - 1]
 
 
 def planar_from_rgb(rgb_rows) -> PlanarImage:

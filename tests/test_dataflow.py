@@ -5,12 +5,20 @@ from __future__ import annotations
 import threading
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ispbench import dataflow
-from ispbench.dataflow import ChannelConfig, StageFault, run_pipeline_dataflow, simulate_chain
+from ispbench.dataflow import (
+    ChannelConfig,
+    StageFault,
+    run_pipeline_dataflow,
+    simulate_chain,
+    stage_cost_units,
+)
 from ispbench.kernels import run_pipeline
 
-from _helpers import rand_params, rand_raw
+from _helpers import rand_params, rand_raw, simulate_chain_oracle
 
 SHAPES = [(2, 2), (2, 4), (6, 4), (34, 18)]
 KERNELS = {
@@ -89,17 +97,20 @@ def test_virtual_clock_accounts_for_all_time_exactly():
         assert st.busy_time + st.blocked_push_time + st.blocked_pop_time == st.wall_time
 
 
+def _stats(stats):
+    return [
+        (s.name, s.items_processed, s.busy_time, s.blocked_push_time, s.blocked_pop_time,
+         s.wall_time)
+        for s in stats
+    ]
+
+
 def test_simulate_chain_matches_a_hand_computed_depth_1_chain():
     # latencies 1, 3, 2 and one slot per channel: the source's third item is
     # ready at t=3 but waits until t=4, when the middle stage pops item 1;
     # the sink waits 1 unit for items 1 and 2
     stats, makespan = simulate_chain([1.0, 3.0, 2.0], 3, 1, ["a", "b", "c"])
-    got = [
-        (s.name, s.items_processed, s.busy_time, s.blocked_push_time, s.blocked_pop_time,
-         s.wall_time)
-        for s in stats
-    ]
-    assert got == [
+    assert _stats(stats) == [
         ("a", 3, 3.0, 1.0, 0.0, 4.0),
         ("b", 3, 9.0, 0.0, 0.0, 9.0),
         ("c", 3, 6.0, 0.0, 2.0, 8.0),
@@ -107,8 +118,69 @@ def test_simulate_chain_matches_a_hand_computed_depth_1_chain():
     assert makespan == 12.0
 
 
+@st.composite
+def chains(draw):
+    """Integer latencies (ties likely) with the bottleneck first, mid-chain or last."""
+    k = draw(st.integers(1, 6))
+    pool = draw(st.lists(st.integers(1, 200), min_size=1, max_size=3))
+    latencies = draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k))
+    where = draw(st.sampled_from([0, k // 2, k - 1]))
+    latencies[where] = draw(st.integers(max(latencies), 200))
+    items = draw(st.integers(1, 3000))
+    return [float(v) for v in latencies], items, draw(st.integers(1, items + 5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=chains())
+@example(case=([145.0, 181.0, 41.0, 73.0, 57.0, 183.0], 1001, 1))  # ~560-block transient
+@example(case=([7.0, 7.0, 7.0], 1000, 8))  # tied bottlenecks, items a multiple of depth
+@example(case=([3.0, 1.0, 2.0], 1001, 8))  # a trailing partial block after the exit
+def test_block_scan_equals_the_item_by_item_loop_exactly(case):
+    latencies, items, depth = case
+    stats, makespan = simulate_chain(latencies, items, depth)
+    want_stats, want_makespan = simulate_chain_oracle(latencies, items, depth)
+    assert makespan == want_makespan
+    assert _stats(stats) == _stats(want_stats)
+
+
+@pytest.mark.parametrize("latencies", [[1.0, 2.5], [1.0, float("inf")], [float("nan")]])
+def test_non_integral_latencies_raise_value_error(latencies):
+    with pytest.raises(ValueError, match="integers"):
+        simulate_chain(latencies, 10, 2)
+
+
+@pytest.mark.parametrize("latencies", [[1.0, 0.0], [-3.0, 2.0]])
+def test_non_positive_latencies_raise_value_error(latencies):
+    with pytest.raises(ValueError, match="positive"):
+        simulate_chain(latencies, 10, 2)
+
+
+@pytest.mark.parametrize("n", [1, 16, 3611])
+def test_virtual_latencies_are_the_fused_loops_access_counts(n):
+    assert stage_cost_units(n) == {
+        "demosaic": 10.0, "denoise": 30.0, "transform": 15.0, "gamut": 6.0 * n + 18, "tonemap": 9.0
+    }
+
+
+def test_virtual_run_at_128x96_with_16_points_pins_its_makespan():
+    result = run_pipeline_dataflow(
+        rand_raw(128, 96), rand_params(16), ChannelConfig(64), clock="virtual"
+    )
+    assert result.makespan == 1400896.0
+    assert {name: st.busy_time for name, st in result.stats.items()} == {
+        "demosaic": 122880.0, "denoise": 368640.0, "transform": 184320.0, "gamut": 1400832.0,
+        "tonemap": 110592.0,
+    }
+    assert [st.blocked_push_time for st in result.stats.values()] == [
+        1255777.0, 1017417.0, 1207809.0, 0.0, 0.0
+    ]
+    assert [st.blocked_pop_time for st in result.stats.values()] == [0.0, 0.0, 1308.0, 0.0, 1290135.0]
+
+
 def test_bad_depth_and_unknown_clock_raise_value_error():
     with pytest.raises(ValueError):
         ChannelConfig(0)
+    with pytest.raises(ValueError, match="slot"):
+        simulate_chain([1.0], 3, 0)
     with pytest.raises(ValueError, match="unknown clock"):
         run_pipeline_dataflow(rand_raw(2, 2), rand_params(4), clock="sundial")
