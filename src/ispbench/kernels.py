@@ -36,9 +36,11 @@ from .images import PlanarImage, RawBayerImage, planar_from_planes
 from .params import GamutParams, PipelineParams, ToneLUT, TransformMatrix
 
 # gamut working set: a chunk of CHUNK_PIXELS pixels meets BLOCK_SLOTS // chunk
-# control points at a time, so the distance, temporary and (3, points, chunk)
-# product arrays take about 1.3 MB and stay in a per-core L2; on a 4 MB-L2
-# Xeon, 8k-16k pixels and 32k-64k slots timed best
+# control points at a time; the (points, chunk) distances, the point-major
+# (points, C, chunk) products and the unroll lanes share one page-aligned
+# scratch of about 1.2 MB that stays in a per-core L2. On a 2 MB-L2 Xeon a grid
+# of 4k-16k pixels x 32k-128k slots found no setting better than 16k / 64k at
+# all four benchmark shapes (32k slots: frame -3 %, sweep's per-channel rows +12 %)
 CHUNK_PIXELS = 16384
 BLOCK_SLOTS = 65536
 
@@ -168,25 +170,34 @@ def gamut_point_major(
     Point ``i`` goes to lane ``i % unroll``; each lane starts from its first
     term and adds the rest left to right (a lane with no points is zero),
     then the lanes fold left to right and the bias terms follow in order.
-    ``unroll=1`` is the reference order.
+    ``unroll=1`` is the reference order. The products are point-major,
+    ``(points, C, chunk)``, so adding a point into its lane is one contiguous
+    run of ``C * chunk`` floats, not C strided rows.
     """
     n, pts, total = gp.n, gp.ctrl_pts, flat.shape[1]
     chans = list(channels)
-    wt = gp.weights[:, chans].T[:, :, None]  # (C, n, 1)
+    nc = len(chans)
+    wt = gp.weights[:, chans, None]  # (n, C, 1)
     coefs = gp.coefs[:, chans, None]  # (4, C, 1)
-    out = np.empty((len(chans), total), np.float32)
+    out = np.empty((nc, total), np.float32)
     chunk = max(1, min(CHUNK_PIXELS, total))
     block = max(1, min(n, BLOCK_SLOTS // chunk))
-    dist, tmp = np.empty((2, block, chunk), np.float32)
-    prod = np.empty((len(chans), block, chunk), np.float32)
-    lanes = np.zeros((unroll, len(chans), chunk), np.float32)  # lanes past n stay 0
+    # one page-aligned scratch holds dist, prod and lanes, each 1 KB past the one
+    # before; tmp is the head of prod, which is written only after the sqrt
+    sizes = (block * chunk, block * nc * chunk, unroll * nc * chunk)
+    buf = np.empty(sum(sizes) + 2 * 256 + 1024, np.float32)
+    at = (-buf.ctypes.data % 4096) // 4
+    dist, prod, lanes = (buf[at + sum(sizes[:j]) + 256 * j :][:m] for j, m in enumerate(sizes))
+    dist, tmp = dist.reshape(block, chunk), prod[: block * chunk].reshape(block, chunk)
+    prod, lanes = prod.reshape(block, nc, chunk), lanes.reshape(unroll, nc, chunk)
+    lanes[...] = 0  # lanes past n stay 0
     for s in range(0, total, chunk):
         e = min(s + chunk, total)
         k = e - s
         r, g, b = flat[0, s:e], flat[1, s:e], flat[2, s:e]
         for ps in range(0, n, block):
             pe = min(ps + block, n)
-            d, t, p = dist[: pe - ps, :k], tmp[: pe - ps, :k], prod[:, : pe - ps, :k]
+            d, t, p = dist[: pe - ps, :k], tmp[: pe - ps, :k], prod[: pe - ps, :, :k]
             np.subtract(r, pts[ps:pe, 0, None], out=d)
             d *= d
             for x, col in ((g, 1), (b, 2)):
@@ -194,12 +205,12 @@ def gamut_point_major(
                 t *= t
                 d += t
             np.sqrt(d, out=d)
-            np.multiply(d, wt[:, ps:pe], out=p)
+            np.multiply(d[:, None], wt[ps:pe], out=p)
             for i in range(ps, pe):
                 if i < unroll:
-                    lanes[i, :, :k] = p[:, i - ps]
+                    lanes[i, :, :k] = p[i - ps]
                 else:
-                    lanes[i % unroll, :, :k] += p[:, i - ps]
+                    lanes[i % unroll, :, :k] += p[i - ps]
         acc = out[:, s:e]
         acc[...] = lanes[0, :, :k]
         for j in range(1, unroll):

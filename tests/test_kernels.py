@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ispbench import kernels
 from ispbench.images import PlanarImage, _round_half_away
@@ -106,9 +108,45 @@ def test_gamut_chunk_and_point_block_edges(monkeypatch, n):
     assert np.array_equal(bits(kernels.gamut_map(img, gp)), bits(gamut_oracle(img, gp)))
 
 
-@pytest.mark.parametrize("n", [1, 2])
-def test_gamut_keeps_a_negative_zero_first_term(n):
-    # every point sits on the pixel, so each weighted distance is w * 0 = -0.0
+@settings(max_examples=80, deadline=None)
+@given(
+    w=st.integers(1, 12),
+    h=st.integers(1, 12),
+    n=st.integers(1, 40),
+    unroll=st.sampled_from([1, 2, 5, 6]),
+    channels=st.sampled_from([(0, 1, 2), (0,), (1,), (2,)]),
+    chunk=st.integers(1, 20),
+    slots=st.integers(1, 60),
+    seed=st.integers(0, 2**16),
+)
+def test_gamut_point_major_matches_oracle_at_any_chunk_block_and_lane_split(
+    w, h, n, unroll, channels, chunk, slots, seed
+):
+    img = rand_planar(w, h, seed=seed, lo=-0.5, hi=1.5)
+    gp = rand_params(n, seed=seed).gamut
+    want = gamut_oracle(img, gp, unroll=unroll).planes.reshape(3, -1)[list(channels)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "CHUNK_PIXELS", chunk)
+        mp.setattr(kernels, "BLOCK_SLOTS", slots)
+        got = kernels.gamut_point_major(img.planes.reshape(3, -1), gp, channels, unroll)
+    assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+
+@pytest.mark.parametrize(
+    "n, unroll, channels",
+    [pytest.param(1, 1, (0, 1, 2), id="1"), pytest.param(2, 1, (0, 1, 2), id="2")]
+    + [
+        pytest.param(n, 2, ch, id=f"u2-n{n}-c{len(ch)}")
+        for n in (1, 2, 3)
+        for ch in ((0, 1, 2), (1,))
+    ]
+    + [pytest.param(2, 1, (1,), id="2-c1")],
+)
+def test_gamut_keeps_a_negative_zero_first_term(n, unroll, channels):
+    # every point sits on the pixel, so each weighted distance is w * 0 = -0.0;
+    # each lane starts from its first term, and only a lane with no points
+    # (n < unroll) is +0.0, which the fold adds. The unrolled oracle starts
+    # every lane at +0.0, so it is no reference here.
     img = rand_planar(1, 1, seed=4)
     pixel = img.planes[:, 0, 0]
     gp = GamutParams(
@@ -116,8 +154,9 @@ def test_gamut_keeps_a_negative_zero_first_term(n):
         weights=np.full((n, 3), -0.5, np.float32),
         coefs=np.full((4, 3), -0.0, np.float32),
     )
-    out = kernels.gamut_map(img, gp).planes
-    assert np.all(out == 0) and np.all(np.signbit(out))
+    out = kernels.gamut_point_major(img.planes.reshape(3, 1), gp, channels, unroll)
+    assert out.shape == (len(channels), 1)
+    assert np.all(out == 0) and np.all(np.signbit(out) == (n >= unroll))
 
 
 def test_tone_index_maps_non_finite_values_to_defined_rows():

@@ -8,11 +8,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ispbench
 from ispbench import cli
-from ispbench.params import ParamsError, load_params_file
+from ispbench.params import ParamsError, PerfModelConfig, load_params_file, save_params_file
+
+from _helpers import rand_params
 
 BAD_DOCS = {
     "costs_not_object": {"perfmodel": {"costs": [1]}},
@@ -48,6 +51,27 @@ def test_known_costs_override_defaults(tmp_path):
     assert params.gamut.n == 4
     assert perf.costs == {"base_cost": 50.0, "datapath_cost": 4.0, "ram_cost": 1.0,
                           "capacity": 100000.0}
+
+
+def test_save_then_load_is_bit_identical(tmp_path):
+    params = rand_params(17, seed=3)
+    perf = PerfModelConfig(
+        pipeline_depth=37, assumed_dep_ii=9,
+        costs={"base_cost": 51.5, "datapath_cost": 3.1, "ram_cost": 0.07, "capacity": 2e5},
+    )
+    path = tmp_path / "params.json"
+    save_params_file(path, params, perf)
+    loaded, loaded_perf = load_params_file(path)
+    pairs = [
+        (loaded.transform.m, params.transform.m),
+        (loaded.gamut.ctrl_pts, params.gamut.ctrl_pts),
+        (loaded.gamut.weights, params.gamut.weights),
+        (loaded.gamut.coefs, params.gamut.coefs),
+        (loaded.tone.lut, params.tone.lut),
+    ]
+    for got, want in pairs:
+        assert got.dtype == np.float32 and np.array_equal(got.view(np.uint32), want.view(np.uint32))
+    assert loaded_perf == perf
 
 
 @pytest.mark.parametrize("name", ["costs_not_object", "n_not_number", "gamma_zero"])

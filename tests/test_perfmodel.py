@@ -14,8 +14,9 @@ from ispbench.perfmodel import (
     estimate,
     estimate_cycles,
     estimate_ii,
+    rank_variants,
 )
-from ispbench.variants import READONLY_STAGES, VariantConfig, traffic
+from ispbench.variants import NAMED_VARIANTS, READONLY_STAGES, VariantConfig, parse_variant, traffic
 
 
 @pytest.mark.parametrize(
@@ -55,3 +56,18 @@ def test_buffered_descriptor_holds_the_buffer_that_traffic_counts(stage, n):
     assert derive_descriptor(stage, cfg, 16, 10, n).buffer_bytes == counted
     unbuffered = VariantConfig(fused_rewrite=True)
     assert derive_descriptor(stage, unbuffered, 16, 10, n).buffer_bytes == 0
+
+
+def test_rank_of_the_named_gamut_variants_at_sweep_size():
+    # the four W rows tie on cycles: RIWB pays for its buffer in resources,
+    # and the other three keep their input order
+    cfgs = [parse_variant(label) for label in NAMED_VARIANTS["gamut"]]
+    ranked = rank_variants("gamut", cfgs, 64, 48, 3611)
+    assert [cfg.label() for cfg, _ in ranked] == [
+        "RIWB+U6", "RIW", "RIWC", "RIWC_128", "RIWB", "RI", "base"
+    ]
+    assert [est.total_cycles for _, est in ranked[1:5]] == [11397120] * 4
+    units = [est.resource_units for _, est in ranked[1:5]]
+    assert units[:3] == [units[0]] * 3 and units[3] > units[0]
+    reverse = [cfg.label() for cfg, _ in rank_variants("gamut", cfgs[::-1], 64, 48, 3611)]
+    assert reverse[1:5] == ["RIWC_128", "RIWC", "RIW", "RIWB"]
