@@ -3,9 +3,10 @@
 The five stages run as concurrent workers joined by bounded FIFO channels.
 One channel item is one image row, a fresh ``(3, w)`` float32 array.  The
 first stage demosaics the whole mosaic (it needs a row window, not a stream)
-and feeds its rows to the first channel; the median stage keeps a 3-row
-sliding window and emits each row once the row below it arrives; the
-remaining stages are pointwise and run their kernel on one row at a time.
+and feeds its rows to the first channel; the median stage keeps the last three
+rows, each edge-padded once, and emits the median of one row once the row
+below it arrives, through the same network as ``denoise``; the remaining
+stages are pointwise and run their kernel on one row at a time.
 Arithmetic is delegated to the reference kernels, so the output is
 bit-identical to the sequential pipeline no matter how the workers are
 scheduled.  ``ChannelConfig.depth`` counts pixels; a channel holds
@@ -38,7 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .images import PlanarImage, RawBayerImage
-from .kernels import demosaic, denoise, gamut_map, run_pipeline, tone_map, transform
+# ``denoise`` is not called here; it stays a module attribute that tracers patch by name
+from .kernels import _median3x3, demosaic, denoise, gamut_map, run_pipeline, tone_map, transform
 from .params import PipelineParams
 from .variants import VariantConfig, traffic
 
@@ -290,24 +292,24 @@ def _run_chain(raw, stages, depth: int) -> tuple[list[StageStats], list[np.ndarr
 def _denoise_rows(height: int):
     """Median worker: row ``y - 1`` once row ``y`` arrives, the last row at the end.
 
-    The middle row of a 3-row image sees exactly its [prev, cur, next]
-    window, with the top and bottom edges replicated, so each median row
-    matches the full-image median bit for bit.
+    Each row is edge-padded once on arrival, and a row's median reads the
+    padded [prev, cur, next] rows, with the top and bottom rows replicated,
+    so it matches the full-image median bit for bit.  Only the emitted row is
+    computed: its nine (3, w) views stay below the size at which NumPy drops
+    the GIL inside a ufunc, so the network does not trade the GIL with the
+    other stage threads on every call.
     """
-    window: deque[np.ndarray] = deque(maxlen=3)  # trailing upstream rows, each (3, w)
+    window: deque[np.ndarray] = deque(maxlen=3)  # trailing padded rows, each (3, w + 2)
     seen = 0
-
-    def median(prev, cur, nxt):
-        planes = np.stack([prev, cur, nxt], axis=1)
-        return denoise(PlanarImage(width=cur.shape[1], height=3, planes=planes)).planes[:, 1]
 
     def process(row):
         nonlocal seen
-        window.append(row)
+        w = row.shape[1]
+        window.append(np.concatenate((row[:, :1], row, row[:, -1:]), axis=1))
         seen += 1
-        out = [median(window[0], window[-2], window[-1])] if seen >= 2 else []
+        out = [_median3x3((window[0], window[-2], window[-1]), w)] if seen >= 2 else []
         if seen == height:
-            out.append(median(window[-2], window[-1], window[-1]))
+            out.append(_median3x3((window[-2], window[-1], window[-1]), w))
         return out
 
     return process

@@ -134,12 +134,16 @@ def _median9(window: list[np.ndarray]) -> np.ndarray:
     return p[4]
 
 
+def _median3x3(rows3, w: int) -> np.ndarray:
+    """3x3 median of ``w`` columns from three edge-padded (..., w + 2) row blocks, top first."""
+    return _median9([r[..., dx : dx + w] for r in rows3 for dx in range(3)])
+
+
 def denoise(img: PlanarImage) -> PlanarImage:
     """Per-channel 3x3 median with edge replication (a selection network).
 
-    Walks row strips of about ``MEDIAN_STRIP`` pixels; each strip's nine
-    shifted views of the padded planes (dy outer, dx inner) meet in
-    ``MEDIAN9_NETWORK``.
+    Walks row strips of about ``MEDIAN_STRIP`` pixels; each strip's three
+    vertically shifted views of the padded planes meet in ``_median3x3``.
     """
     h, w = img.height, img.width
     p = np.pad(img.planes, ((0, 0), (1, 1), (1, 1)), mode="edge")
@@ -147,8 +151,7 @@ def denoise(img: PlanarImage) -> PlanarImage:
     rows = max(1, MEDIAN_STRIP // w)
     for y0 in range(0, h, rows):
         y1 = min(y0 + rows, h)
-        window = [p[:, y0 + dy : y1 + dy, dx : dx + w] for dy in range(3) for dx in range(3)]
-        out[:, y0:y1] = _median9(window)
+        out[:, y0:y1] = _median3x3([p[:, y0 + dy : y1 + dy] for dy in range(3)], w)
     return PlanarImage(width=w, height=h, planes=out)
 
 

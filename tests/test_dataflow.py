@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import threading
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -16,14 +17,14 @@ from ispbench.dataflow import (
     simulate_chain,
     stage_cost_units,
 )
-from ispbench.kernels import run_pipeline
+from ispbench.kernels import demosaic, denoise, run_pipeline
 
 from _helpers import rand_params, rand_raw, simulate_chain_oracle
 
 SHAPES = [(2, 2), (2, 4), (6, 4), (34, 18)]
 KERNELS = {
     "demosaic": "demosaic",
-    "denoise": "denoise",
+    "denoise": "_median3x3",  # the wall-clock median worker's one kernel call per row
     "transform": "transform",
     "gamut": "gamut_map",
     "tonemap": "tone_map",
@@ -54,6 +55,52 @@ def test_wall_output_equals_run_pipeline_bit_for_bit(w, h):
     for depth in (1, 3, 64, w * h + 1):
         result = run_pipeline_dataflow(raw, params, ChannelConfig(depth), clock="wall")
         assert result.image == ref, depth
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf, by design
+@pytest.mark.parametrize("h", [2, 18])
+def test_wall_output_is_byte_identical_with_non_finite_and_signed_zero_edges(h):
+    # PlanarImage == treats NaN as unequal, so compare bytes
+    w = 6
+    raw, params = rand_raw(w, h, seed=h), rand_params(4)
+    special = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0], np.float32)
+    m = raw.mosaic
+    m[0], m[-1] = np.resize(special, w), np.resize(special[::-1], w)
+    m[:, 0], m[:, -1] = np.resize(special[1:], h), np.resize(special[::-2], h)
+    # the tone LUT hides the median's NaNs and zero signs, so check the median stage too
+    rgb = demosaic(raw)
+    worker = dataflow._denoise_rows(h)
+    rows = [out for row in rgb.planes.transpose(1, 0, 2) for out in worker(row)]
+    assert np.stack(rows, axis=1).tobytes() == denoise(rgb).planes.tobytes()
+    assert not np.isfinite(rgb.planes[:, [0, -1]]).all()
+    ref = run_pipeline(raw, params).planes.tobytes()
+    for depth in (1, w * h + 1):
+        result = run_pipeline_dataflow(raw, params, ChannelConfig(depth), clock="wall")
+        assert result.image.planes.tobytes() == ref, depth
+
+
+@pytest.mark.parametrize("h", [2, 4, 18])
+def test_wall_median_computes_each_row_once_and_only_that_row(monkeypatch, h):
+    w = 8
+    original, calls = dataflow._median3x3, []
+
+    def recording(rows3, width):
+        out = original(rows3, width)
+        calls.append(out.shape)
+        return out
+
+    monkeypatch.setattr(dataflow, "_median3x3", recording)
+    raw, params = rand_raw(w, h), rand_params(4)
+    result = run_pipeline_dataflow(raw, params, ChannelConfig(3), clock="wall")
+    assert result.image == run_pipeline(raw, params)
+    assert calls == [(3, w)] * h
+
+
+def test_both_clocks_name_gamut_the_bottleneck_at_3611_points():
+    raw, params = rand_raw(16, 12), rand_params(3611)
+    for clock in ("wall", "virtual"):
+        stats = run_pipeline_dataflow(raw, params, ChannelConfig(64), clock=clock).stats
+        assert max(stats.values(), key=lambda st: st.busy_time).name == "gamut", clock
 
 
 @pytest.mark.parametrize("clock", ["wall", "virtual"])
