@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from ispbench import harness
 from ispbench.harness import HarnessConfig, run_matrix
+from ispbench.kernels import STAGE_NAMES
 from ispbench.variants import VariantError
 
 
@@ -38,3 +41,11 @@ def test_the_gates_reference_run_is_the_first_timing_sample(monkeypatch):
     assert calls == ["transform"] * 3
     assert 0 < report.meta["reference_time_min"] <= report.meta["reference_time_mean"]
     assert all(row.status == "PASS" for row in report.rows)
+
+
+def test_the_pipeline_stage_reports_shares_summing_to_1_in_stage_order():
+    cfg = HarnessConfig(stage="pipeline", synth_spec="16x12:noise:1", n_points=5, reps=1)
+    p = run_matrix(cfg).pipeline
+    assert list(p.stage_shares) == list(p.stage_times) == list(STAGE_NAMES)
+    assert math.isclose(sum(p.stage_shares.values()), 1.0)
+    assert p.reference_total == sum(p.stage_times.values())

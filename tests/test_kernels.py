@@ -182,3 +182,62 @@ def test_tone_map_accepts_nan_pixels():
     out = kernels.tone_map(PlanarImage(width=2, height=1, planes=planes), lut).planes
     assert out[:, 0, 0].tolist() == lut.lut[0].tolist()
     assert out[:, 0, 1].tolist() == lut.lut[255].tolist()
+
+
+def hand_chain(raw, params) -> list:
+    """The raw input, then each stage's output: the public kernels called one by one."""
+    mosaic = kernels.demosaic(raw)
+    median = kernels.denoise(mosaic)
+    balanced = kernels.transform(median, params.transform)
+    mapped = kernels.gamut_map(balanced, params.gamut)
+    return [raw, mosaic, median, balanced, mapped, kernels.tone_map(mapped, params.tone)]
+
+
+def as_bytes(data) -> bytes:
+    return (data.planes if isinstance(data, PlanarImage) else data.mosaic).tobytes()
+
+
+def test_stage_input_and_reference_stage_equal_the_kernels_chained_by_hand():
+    raw, params = rand_raw(8, 6, seed=3), rand_params(5)
+    chain = hand_chain(raw, params)
+    for i, stage in enumerate(kernels.STAGE_NAMES):
+        data = kernels.stage_input(stage, raw, params)
+        assert as_bytes(data) == as_bytes(chain[i]), stage
+        assert as_bytes(kernels.reference_stage(stage, data, params)) == as_bytes(chain[i + 1])
+    assert as_bytes(kernels.run_pipeline(raw, params)) == as_bytes(chain[-1])
+
+
+@pytest.mark.parametrize("stage", ["sharpen", "pipeline", ""])
+def test_unknown_stage_raises_value_error(stage):
+    raw, params = rand_raw(4, 4), rand_params(3)
+    with pytest.raises(ValueError, match="unknown stage"):
+        kernels.stage_input(stage, raw, params)
+    with pytest.raises(ValueError, match="unknown stage"):
+        kernels.reference_stage(stage, kernels.demosaic(raw), params)
+
+
+def test_run_pipeline_times_every_stage_in_order():
+    raw, params = rand_raw(8, 6), rand_params(5)
+    img, times = kernels.run_pipeline(raw, params, with_times=True)
+    assert list(times) == list(kernels.STAGE_NAMES)
+    assert all(t >= 0 for t in times.values())
+    assert as_bytes(img) == as_bytes(kernels.run_pipeline(raw, params))
+
+
+def test_the_chain_looks_each_kernel_up_at_call_time(monkeypatch):
+    # tracers replace kernels by module attribute, so the chain must not hold function objects
+    original, calls = kernels.gamut_map, []
+
+    def counted(img, gp):
+        calls.append(img.width)
+        return original(img, gp)
+
+    monkeypatch.setattr(kernels, "gamut_map", counted)
+    raw, params = rand_raw(4, 4), rand_params(3)
+    kernels.run_pipeline(raw, params)
+    assert len(calls) == 1
+    data = kernels.stage_input("tonemap", raw, params)
+    assert len(calls) == 2
+    kernels.reference_stage("gamut", kernels.stage_input("gamut", raw, params), params)
+    assert len(calls) == 3
+    assert as_bytes(data) == as_bytes(hand_chain(raw, params)[4])
