@@ -10,7 +10,14 @@ import numpy as np
 
 from ispbench.dataflow import StageStats
 from ispbench.images import PlanarImage, RawBayerImage, planar_from_planes
-from ispbench.params import GamutParams, PipelineParams, ToneLUT, TransformMatrix, random_gamut
+from ispbench.params import (
+    GamutParams,
+    PipelineParams,
+    ToneLUT,
+    TransformMatrix,
+    gamma_tone,
+    random_gamut,
+)
 
 F = np.float32
 
@@ -35,6 +42,24 @@ def rand_params(n=16, seed=1) -> PipelineParams:
         gamut=random_gamut(n, seed),
         tone=ToneLUT(rng.random((256, 3)).astype(np.float32)),
     )
+
+
+def in_range_params(n=3611, seed=2) -> PipelineParams:
+    """Params whose gamut moves every pixel of the unit cube by less than 0.5.
+
+    A distance inside the unit cube is at most sqrt(3), so weights with
+    sum |w| * sqrt(3) < 0.5 per channel, plus identity affine coefs, keep the
+    output within 0.5 of the input, and the tone map sees a wrong gamut
+    (unlike ``random_gamut`` at 3611 points, whose output clamps to LUT rows
+    0 and 255).  Identity transform, gamma tone curve.
+    """
+    rng = np.random.default_rng(seed)
+    weights = rng.random((n, 3)) - 0.5
+    weights *= 0.45 / (np.abs(weights).sum(axis=0) * np.sqrt(3))
+    coefs = np.zeros((4, 3))
+    coefs[1:] = np.eye(3)
+    gamut = GamutParams(rng.random((n, 3)), weights, coefs)
+    return PipelineParams(transform=TransformMatrix(np.eye(3)), gamut=gamut, tone=gamma_tone())
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,9 @@ from ispbench.dataflow import (
     simulate_chain,
     stage_cost_units,
 )
-from ispbench.kernels import demosaic, denoise, run_pipeline
+from ispbench.kernels import demosaic, denoise, gamut_map, run_pipeline, stage_input, tone_index
 
-from _helpers import rand_params, rand_raw, simulate_chain_oracle
+from _helpers import in_range_params, rand_params, rand_raw, simulate_chain_oracle
 
 SHAPES = [(2, 2), (2, 4), (6, 4), (34, 18)]
 KERNELS = {
@@ -101,6 +101,17 @@ def test_both_clocks_name_gamut_the_bottleneck_at_3611_points():
     for clock in ("wall", "virtual"):
         stats = run_pipeline_dataflow(raw, params, ChannelConfig(64), clock=clock).stats
         assert max(stats.values(), key=lambda st: st.busy_time).name == "gamut", clock
+
+
+def test_both_clocks_equal_run_pipeline_at_3611_points_where_the_tone_map_sees_the_gamut():
+    raw, params = rand_raw(64, 48), in_range_params(3611)
+    ref = run_pipeline(raw, params).planes.tobytes()
+    for clock in ("wall", "virtual"):
+        result = run_pipeline_dataflow(raw, params, ChannelConfig(64), clock=clock)
+        assert result.image.planes.tobytes() == ref, clock
+    # not vacuous: the gamut output spreads over the LUT instead of clamping to rows 0 and 255
+    mapped = gamut_map(stage_input("gamut", raw, params), params.gamut)
+    assert np.unique(tone_index(mapped.planes)).size > 200
 
 
 @pytest.mark.parametrize("clock", ["wall", "virtual"])

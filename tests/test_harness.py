@@ -4,12 +4,17 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
-from ispbench import harness
+from ispbench import dataflow, harness
 from ispbench.harness import HarnessConfig, run_matrix
+from ispbench.images import PlanarImage
 from ispbench.kernels import STAGE_NAMES
+from ispbench.params import save_params_file
 from ispbench.variants import VariantError
+
+from _helpers import in_range_params
 
 
 @pytest.mark.parametrize("clock", ["wall", "virtual"])
@@ -19,6 +24,25 @@ def test_dataflow_mode_matches_and_reports_a_makespan(clock):
     assert flow["clock"] == clock and flow["output_matches"] is True
     assert flow["makespan"] > 0
     assert all(st["items_processed"] == 16 * 12 for st in flow["stages"].values())
+
+
+def test_a_halved_gamut_fails_the_dataflow_gate_at_3611_points(monkeypatch, tmp_path):
+    path = tmp_path / "params.json"
+    save_params_file(path, in_range_params(3611))
+    cfg = HarnessConfig(
+        mode="dataflow", synth_spec="64x48:noise:1", params_path=str(path), clock="wall"
+    )
+    assert run_matrix(cfg).all_passed
+    original = dataflow.gamut_map
+
+    def halved(img, gp):
+        out = original(img, gp)
+        return PlanarImage(width=out.width, height=out.height, planes=out.planes * np.float32(0.5))
+
+    monkeypatch.setattr(dataflow, "gamut_map", halved)
+    report = run_matrix(cfg)
+    assert report.pipeline.dataflow["output_matches"] is False
+    assert not report.all_passed
 
 
 def test_cache_size_must_be_at_least_1kb():
