@@ -15,7 +15,7 @@ from .dataflow import (
     run_pipeline_dataflow,
     simulate_chain,
 )
-from .harness import HarnessConfig, profile_breakdown, run_matrix
+from .harness import HarnessConfig, run_matrix
 from .images import (
     ImageFormatError,
     PlanarImage,
@@ -44,7 +44,6 @@ from .params import (
     TransformMatrix,
     default_params,
     load_params_file,
-    neutral_params,
     save_params_file,
 )
 from .perfmodel import (
@@ -53,7 +52,6 @@ from .perfmodel import (
     derive_descriptor,
     estimate_cycles,
     estimate_ii,
-    estimate_resources,
     rank_variants,
 )
 from .report import BenchReport, emit_report, report_from_json

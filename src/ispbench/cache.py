@@ -2,9 +2,9 @@
 
 Addresses are byte offsets into a single flat region registered at
 construction time.  The mapping is ``(offset // line_bytes) % lines`` with
-no prefetch and no associativity.  ``access`` handles one offset;
-``access_trace`` consumes a whole offset array with bit-identical counts,
-and ``access_repeated`` exploits the fact that the tag state after any
+no prefetch and no associativity.  ``access_trace`` consumes a whole
+offset array with the counts of touching each offset in turn, and
+``access_repeated`` exploits the fact that the tag state after any
 trace depends only on the trace itself, so a per-pixel trace repeated P
 times needs only two simulated passes.
 """
@@ -42,32 +42,10 @@ class ConstCacheSim:
     def accesses(self) -> int:
         return self.hits + self.misses
 
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.accesses if self.accesses else 0.0
-
-    def _check(self, offset: int) -> None:
-        if not 0 <= offset < self.region_bytes:
-            raise CacheAccessError(
-                f"offset {offset} outside registered region [0, {self.region_bytes})"
-            )
-
-    def access(self, offset: int) -> bool:
-        """Touch one byte offset; returns True on hit."""
-        self._check(int(offset))
-        line = int(offset) // self.line_bytes
-        slot = line % self.lines
-        if self.tags[slot] == line:
-            self.hits += 1
-            return True
-        self.tags[slot] = line
-        self.misses += 1
-        return False
-
     def access_trace(self, offsets: np.ndarray) -> int:
         """Simulate a whole offset trace; returns the number of misses.
 
-        Equivalent to calling ``access`` per element, in order.  Accesses are
+        Equivalent to touching each offset in turn, in order.  Accesses are
         grouped by cache slot (stable, so time order is preserved within a
         slot); within a slot every change of line is a miss, and the first
         access misses unless the resident tag already matches.

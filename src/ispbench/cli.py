@@ -19,6 +19,7 @@ import sys
 from pathlib import Path
 
 from .harness import HarnessConfig, run_matrix
+from .kernels import STAGE_NAMES
 from .report import emit_report
 
 
@@ -40,11 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--n-points", type=int, default=3611, help="control points for generated parameters"
     )
-    p.add_argument(
-        "--stage",
-        choices=["demosaic", "denoise", "transform", "gamut", "tonemap", "pipeline"],
-        default="pipeline",
-    )
+    p.add_argument("--stage", choices=[*STAGE_NAMES, "pipeline"], default="pipeline")
     p.add_argument(
         "--variants",
         metavar="LIST",

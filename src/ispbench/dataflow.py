@@ -39,12 +39,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .images import PlanarImage, RawBayerImage
-# ``denoise`` is not called here; it stays a module attribute that tracers patch by name
-from .kernels import _median3x3, demosaic, denoise, gamut_map, run_pipeline, tone_map, transform
+from .kernels import STAGE_NAMES, STAGES, _median3x3, run_pipeline
+# module attributes that tracers patch by name: ``denoise`` is not called here, and
+# the pointwise workers look theirs up by name at call time
+from .kernels import demosaic, denoise, gamut_map, tone_map, transform
 from .params import PipelineParams
 from .variants import VariantConfig, traffic
-
-PIPELINE_STAGES = ("demosaic", "denoise", "transform", "gamut", "tonemap")
 
 _POISON = object()
 
@@ -154,7 +154,7 @@ def stage_cost_units(n_points: int) -> dict[str, float]:
     """
     fused, one_pixel = VariantConfig(fused_rewrite=True), np.zeros((3, 1), int)  # any LUT rows
     costs = {}
-    for stage in PIPELINE_STAGES:
+    for stage in STAGE_NAMES:
         c = traffic(stage, fused, 1, 1, n_points, indices=one_pixel)
         costs[stage] = float(c.global_reads + c.global_writes + c.readonly_reads)
     return costs
@@ -326,8 +326,8 @@ def run_pipeline_dataflow(
 
     if clock == "virtual":
         costs = stage_cost_units(params.gamut.n)
-        latencies = [costs[s] for s in PIPELINE_STAGES]
-        stats, makespan = simulate_chain(latencies, w * h, ch.depth, list(PIPELINE_STAGES))
+        latencies = [costs[s] for s in STAGE_NAMES]
+        stats, makespan = simulate_chain(latencies, w * h, ch.depth, list(STAGE_NAMES))
         return DataflowResult(
             image=run_pipeline(raw, params),
             stats={s.name: s for s in stats},
@@ -337,16 +337,15 @@ def run_pipeline_dataflow(
     if clock != "wall":
         raise ValueError(f"unknown clock {clock!r}")
 
-    def row_image(row):
-        return PlanarImage(width=w, height=1, planes=row[:, None, :])
+    def pointwise(kernel, field):
+        # looked up at call time, so a patched module attribute takes effect
+        arg = getattr(params, field)
+        return lambda row: [globals()[kernel](PlanarImage(w, 1, row[:, None]), arg).planes[:, 0]]
 
-    # kernels are looked up at call time, so a patched module attribute takes effect
     stages = [
         ("demosaic", lambda raw: list(demosaic(raw).planes.transpose(1, 0, 2))),
         ("denoise", _denoise_rows(h)),
-        ("transform", lambda row: [transform(row_image(row), params.transform).planes[:, 0]]),
-        ("gamut", lambda row: [gamut_map(row_image(row), params.gamut).planes[:, 0]]),
-        ("tonemap", lambda row: [tone_map(row_image(row), params.tone).planes[:, 0]]),
+        *((stage, pointwise(kernel, field)) for stage, kernel, field in STAGES[2:]),
     ]
     t0 = time.perf_counter()
     stats, rows = _run_chain(raw, stages, -(-ch.depth // w))  # ceil(depth / w) rows

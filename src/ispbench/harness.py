@@ -118,16 +118,6 @@ def load_harness_inputs(
     return raw, params, perf, image_desc
 
 
-def profile_breakdown(
-    raw: RawBayerImage, params: PipelineParams
-) -> tuple[dict[str, float], dict[str, float]]:
-    """Per-stage fractional shares (summing to 1) and raw stage times."""
-    _, times = run_pipeline(raw, params, with_times=True)
-    total = sum(times.values())
-    shares = {stage: t / total for stage, t in times.items()}
-    return shares, times
-
-
 def _meta(cfg: HarnessConfig, raw: RawBayerImage, params: PipelineParams, image_desc: str) -> dict:
     return {
         "image": image_desc,
@@ -189,9 +179,12 @@ def run_matrix(cfg: HarnessConfig, perturb=None) -> BenchReport:
         return report
 
     if cfg.stage == "pipeline":
-        shares, times = profile_breakdown(raw, params)
+        _, times = run_pipeline(raw, params, with_times=True)
+        total = sum(times.values())
         report.pipeline = PipelineSection(
-            stage_shares=shares, stage_times=times, reference_total=sum(times.values())
+            stage_shares={stage: t / total for stage, t in times.items()},
+            stage_times=times,
+            reference_total=total,
         )
         return report
 

@@ -97,18 +97,6 @@ class PlanarImage:
             and np.array_equal(self.planes, other.planes)
         )
 
-    @property
-    def r(self) -> np.ndarray:
-        return self.planes[0]
-
-    @property
-    def g(self) -> np.ndarray:
-        return self.planes[1]
-
-    @property
-    def b(self) -> np.ndarray:
-        return self.planes[2]
-
 
 def planar_from_planes(r: np.ndarray, g: np.ndarray, b: np.ndarray) -> PlanarImage:
     planes = np.stack([r, g, b]).astype(np.float32, copy=False)

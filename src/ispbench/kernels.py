@@ -64,7 +64,16 @@ MEDIAN9_NETWORK = (
 
 F32 = np.float32
 
-STAGE_NAMES = ("demosaic", "denoise", "transform", "gamut", "tonemap")
+# the chain, in order: (stage, kernel attribute name, PipelineParams field or None);
+# names, not functions, so that a stage runs whatever the module attribute holds
+STAGES = (
+    ("demosaic", "demosaic", None),
+    ("denoise", "denoise", None),
+    ("transform", "transform", "transform"),
+    ("gamut", "gamut_map", "gamut"),
+    ("tonemap", "tone_map", "tone"),
+)
+STAGE_NAMES = tuple(stage for stage, _, _ in STAGES)
 
 
 def demosaic(raw: RawBayerImage) -> PlanarImage:
@@ -263,57 +272,32 @@ def tone_map(img: PlanarImage, t: ToneLUT) -> PlanarImage:
     return _tone_map_indexed(img, t)
 
 
-def run_pipeline(
-    raw: RawBayerImage, params: PipelineParams, with_times: bool = False
-) -> PlanarImage | tuple[PlanarImage, dict[str, float]]:
-    """Run the five stages in order; optionally report per-stage wall time."""
-    times: dict[str, float] = {}
-
-    def timed(name, fn, *args):
-        t0 = time.perf_counter()
-        result = fn(*args)
-        times[name] = time.perf_counter() - t0
-        return result
-
-    img = timed("demosaic", demosaic, raw)
-    img = timed("denoise", denoise, img)
-    img = timed("transform", transform, img, params.transform)
-    img = timed("gamut", gamut_map, img, params.gamut)
-    img = timed("tonemap", tone_map, img, params.tone)
-    if with_times:
-        return img, times
-    return img
-
-
 def reference_stage(stage: str, data, params: PipelineParams):
-    """Dispatch one stage by name on its natural input."""
-    if stage == "demosaic":
-        return demosaic(data)
-    if stage == "denoise":
-        return denoise(data)
-    if stage == "transform":
-        return transform(data, params.transform)
-    if stage == "gamut":
-        return gamut_map(data, params.gamut)
-    if stage == "tonemap":
-        return tone_map(data, params.tone)
+    """Run one stage by name on its natural input."""
+    for name, kernel, field in STAGES:
+        if name == stage:
+            fn = globals()[kernel]  # looked up now, so a patched module attribute takes effect
+            return fn(data) if field is None else fn(data, getattr(params, field))
     raise ValueError(f"unknown stage {stage!r}")
 
 
 def stage_input(stage: str, raw: RawBayerImage, params: PipelineParams):
     """Produce the reference input for a stage by running its upstream chain."""
-    if stage == "demosaic":
-        return raw
-    img = demosaic(raw)
-    if stage == "denoise":
-        return img
-    img = denoise(img)
-    if stage == "transform":
-        return img
-    img = transform(img, params.transform)
-    if stage == "gamut":
-        return img
-    img = gamut_map(img, params.gamut)
-    if stage == "tonemap":
-        return img
-    raise ValueError(f"unknown stage {stage!r}")
+    if stage not in STAGE_NAMES:
+        raise ValueError(f"unknown stage {stage!r}")
+    data = raw
+    for name in STAGE_NAMES[: STAGE_NAMES.index(stage)]:
+        data = reference_stage(name, data, params)
+    return data
+
+
+def run_pipeline(
+    raw: RawBayerImage, params: PipelineParams, with_times: bool = False
+) -> PlanarImage | tuple[PlanarImage, dict[str, float]]:
+    """Run the five stages in order; optionally report per-stage wall time."""
+    img, times = raw, {}
+    for name in STAGE_NAMES:
+        t0 = time.perf_counter()
+        img = reference_stage(name, img, params)
+        times[name] = time.perf_counter() - t0
+    return (img, times) if with_times else img

@@ -146,10 +146,6 @@ class PerfModelConfig:
 # Constructors
 # ---------------------------------------------------------------------------
 
-def identity_transform() -> TransformMatrix:
-    return TransformMatrix(np.eye(3, dtype=np.float32))
-
-
 def identity_tone() -> ToneLUT:
     levels = np.arange(TONE_LEVELS, dtype=np.float32) / np.float32(255.0)
     return ToneLUT(np.repeat(levels[:, None], 3, axis=1))
@@ -162,35 +158,12 @@ def gamma_tone(gamma: float = 2.2) -> ToneLUT:
     return ToneLUT(np.repeat(levels[:, None], 3, axis=1))
 
 
-def affine_identity_coefs() -> np.ndarray:
-    """Zero constant row, rows 1..3 the identity: the bias passes RGB through."""
-    coefs = np.zeros((4, 3), dtype=np.float32)
-    coefs[1:] = np.eye(3, dtype=np.float32)
-    return coefs
-
-
-def neutral_gamut(n: int = 1) -> GamutParams:
-    """Zero weights + pass-through bias: gamut mapping becomes the identity."""
-    return GamutParams(
-        ctrl_pts=np.zeros((n, 3), dtype=np.float32),
-        weights=np.zeros((n, 3), dtype=np.float32),
-        coefs=affine_identity_coefs(),
-    )
-
-
 def random_gamut(n: int = DEFAULT_GAMUT_POINTS, seed: int = 7) -> GamutParams:
     rng = np.random.default_rng(seed)
     ctrl_pts = rng.random((n, 3), dtype=np.float32)
     weights = (rng.random((n, 3), dtype=np.float32) - np.float32(0.5)) * np.float32(2.0)
     coefs = (rng.random((4, 3), dtype=np.float32) - np.float32(0.5)) * np.float32(2.0)
     return GamutParams(ctrl_pts=ctrl_pts, weights=weights, coefs=coefs)
-
-
-def neutral_params() -> PipelineParams:
-    """Identity transform, pass-through gamut, identity tone curve."""
-    return PipelineParams(
-        transform=identity_transform(), gamut=neutral_gamut(), tone=identity_tone()
-    )
 
 
 def default_params(n_points: int = DEFAULT_GAMUT_POINTS, seed: int = 7) -> PipelineParams:

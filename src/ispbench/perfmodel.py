@@ -37,7 +37,6 @@ class KernelDescriptor:
     pipeline_depth: int = 100
     assumed_dep_ii: int = 64
     mem_ops_per_iter: int = 1
-    readonly_mode: str = "none"
     buffer_bytes: int = 0
 
     def __post_init__(self):
@@ -73,37 +72,25 @@ def estimate_ii(d: KernelDescriptor) -> int:
     return d.assumed_dep_ii
 
 
-def body_cycles(d: KernelDescriptor, ii: int | None = None) -> int:
-    """Cycles for one outer iteration (the pipelined inner loop, if any)."""
-    if ii is None:
-        ii = estimate_ii(d)
-    if d.inner_trip == 0:
-        return 0
-    inner_eff = math.ceil(d.inner_trip / d.unroll_factor)
-    return d.pipeline_depth + ii * (inner_eff - 1)
-
-
 def estimate_cycles(d: KernelDescriptor, ii: int | None = None) -> int:
     if ii is None:
         ii = estimate_ii(d)
     if d.inner_trip == 0:
         return d.pipeline_depth + ii * (d.outer_trip - 1)
-    return d.outer_trip * body_cycles(d, ii)
+    # each outer iteration runs the pipelined inner loop to completion
+    inner_eff = math.ceil(d.inner_trip / d.unroll_factor)
+    return d.outer_trip * (d.pipeline_depth + ii * (inner_eff - 1))
 
 
-def estimate_resources(d: KernelDescriptor, costs: dict) -> tuple[float, bool]:
-    """Resource units and whether they fit; ``costs`` is ``PerfModelConfig.costs``."""
+def estimate(d: KernelDescriptor, costs: dict) -> PipelineEstimate:
+    """II, cycles and resource units; ``costs`` is ``PerfModelConfig.costs``."""
+    ii = estimate_ii(d)
     units = (
         costs["base_cost"]
         + d.unroll_factor * costs["datapath_cost"] * d.mem_ops_per_iter
         + d.buffer_bytes * costs["ram_cost"]
     )
-    return units, units <= costs["capacity"]
-
-
-def estimate(d: KernelDescriptor, costs: dict) -> PipelineEstimate:
-    ii = estimate_ii(d)
-    units, fits = estimate_resources(d, costs)
+    fits = units <= costs["capacity"]
     return PipelineEstimate(
         ii=ii, total_cycles=estimate_cycles(d, ii), resource_units=units, fits=fits
     )
@@ -144,7 +131,6 @@ def derive_descriptor(
         pipeline_depth=perf.pipeline_depth,
         assumed_dep_ii=perf.assumed_dep_ii,
         mem_ops_per_iter=_MEM_OPS[stage][cfg.fused_rewrite],
-        readonly_mode=cfg.readonly_mode,
         buffer_bytes=4 * region_words(stage, n_points) if cfg.readonly_mode == "buffered" else 0,
     )
 

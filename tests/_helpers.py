@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ispbench.cache import CacheAccessError, ConstCacheSim
 from ispbench.dataflow import StageStats
 from ispbench.images import PlanarImage, RawBayerImage, planar_from_planes
 from ispbench.params import (
@@ -210,6 +211,20 @@ def simulate_chain_oracle(
     for s in stats:
         s.wall_time = s.busy_time + s.blocked_push_time + s.blocked_pop_time
     return stats, cur_push[k - 1]
+
+
+def cache_access(sim: ConstCacheSim, offset: int) -> bool:
+    """Touch one byte offset of ``sim``'s region; returns True on hit."""
+    if not 0 <= offset < sim.region_bytes:
+        raise CacheAccessError(f"offset {offset} outside registered region [0, {sim.region_bytes})")
+    line = int(offset) // sim.line_bytes
+    slot = line % sim.lines
+    if sim.tags[slot] == line:
+        sim.hits += 1
+        return True
+    sim.tags[slot] = line
+    sim.misses += 1
+    return False
 
 
 def planar_from_rgb(rgb_rows) -> PlanarImage:

@@ -1,7 +1,7 @@
-"""The constant-cache simulator's vectorized replays against its per-offset loop.
+"""The constant-cache simulator's vectorized replays against a per-offset loop.
 
 Every read-only trace a variant records goes through ``access_repeated``,
-so its counts and final tags must equal calling ``access`` once per offset.
+so its counts and final tags must equal ``cache_access`` once per offset.
 """
 
 from __future__ import annotations
@@ -12,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ispbench.cache import CacheAccessError, ConstCacheSim
+
+from _helpers import cache_access
 
 
 @st.composite
@@ -27,7 +29,7 @@ def _pair(size: int, region: int, warm: list[int]) -> tuple[ConstCacheSim, Const
     sims = ConstCacheSim(size, region), ConstCacheSim(size, region)
     for sim in sims:
         for offset in warm:
-            sim.access(offset)
+            cache_access(sim, offset)
     return sims
 
 
@@ -41,7 +43,7 @@ def _state(sim: ConstCacheSim):
 def test_access_trace_matches_per_offset_access(warm_start, case):
     size, region, warm, trace = case
     loop, fast = _pair(size, region, warm if warm_start else [])
-    misses = sum(not loop.access(offset) for offset in trace)
+    misses = sum(not cache_access(loop, offset) for offset in trace)
     assert fast.access_trace(np.array(trace, dtype=np.int64)) == misses
     assert _state(fast) == _state(loop)
 
@@ -53,7 +55,7 @@ def test_access_trace_matches_per_offset_access(warm_start, case):
 def test_access_repeated_matches_per_offset_access(warm_start, repeats, case):
     size, region, warm, trace = case
     loop, fast = _pair(size, region, warm if warm_start else [])
-    misses = sum(not loop.access(offset) for _ in range(repeats) for offset in trace)
+    misses = sum(not cache_access(loop, offset) for _ in range(repeats) for offset in trace)
     assert fast.access_repeated(np.array(trace, dtype=np.int64), repeats) == misses
     assert _state(fast) == _state(loop)
 
@@ -61,8 +63,6 @@ def test_access_repeated_matches_per_offset_access(warm_start, repeats, case):
 @pytest.mark.parametrize("offset", [-1, 100, 4096])
 def test_offset_outside_the_region_raises(offset):
     sim = ConstCacheSim(64, 100)
-    with pytest.raises(CacheAccessError):
-        sim.access(offset)
     with pytest.raises(CacheAccessError):
         sim.access_trace(np.array([0, offset]))
     with pytest.raises(CacheAccessError):

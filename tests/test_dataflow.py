@@ -17,7 +17,15 @@ from ispbench.dataflow import (
     simulate_chain,
     stage_cost_units,
 )
-from ispbench.kernels import demosaic, denoise, gamut_map, run_pipeline, stage_input, tone_index
+from ispbench.kernels import (
+    STAGE_NAMES,
+    demosaic,
+    denoise,
+    gamut_map,
+    run_pipeline,
+    stage_input,
+    tone_index,
+)
 
 from _helpers import in_range_params, rand_params, rand_raw, simulate_chain_oracle
 
@@ -118,7 +126,7 @@ def test_both_clocks_equal_run_pipeline_at_3611_points_where_the_tone_map_sees_t
 def test_every_stage_counts_every_pixel(clock):
     raw, params = rand_raw(6, 4), rand_params(4)
     result = run_pipeline_dataflow(raw, params, ChannelConfig(3), clock=clock)
-    assert list(result.stats) == list(dataflow.PIPELINE_STAGES)
+    assert list(result.stats) == list(STAGE_NAMES)
     assert all(st.items_processed == 24 for st in result.stats.values())
     assert result.makespan > 0
 
