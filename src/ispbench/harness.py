@@ -179,7 +179,8 @@ def run_matrix(cfg: HarnessConfig, perturb=None) -> BenchReport:
         return report
 
     if cfg.stage == "pipeline":
-        _, times = run_pipeline(raw, params, with_times=True)
+        runs = [run_pipeline(raw, params, with_times=True)[1] for _ in range(cfg.reps)]
+        times = {stage: statistics.fmean(run[stage] for run in runs) for stage in STAGE_NAMES}
         total = sum(times.values())
         report.pipeline = PipelineSection(
             stage_shares={stage: t / total for stage, t in times.items()},

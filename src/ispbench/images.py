@@ -98,12 +98,6 @@ class PlanarImage:
         )
 
 
-def planar_from_planes(r: np.ndarray, g: np.ndarray, b: np.ndarray) -> PlanarImage:
-    planes = np.stack([r, g, b]).astype(np.float32, copy=False)
-    h, w = r.shape
-    return PlanarImage(width=w, height=h, planes=planes)
-
-
 # ---------------------------------------------------------------------------
 # PPM (P6, 8-bit)
 # ---------------------------------------------------------------------------

@@ -20,7 +20,16 @@ keeps each pixel's sum in the order above without materializing a
 The median is one element of its window, never an arithmetic result, and
 NaN ranks above +inf as in ``np.sort``. Equal values are interchangeable
 except for zeros: when a window holds both +0.0 and -0.0 and the median is
-zero, its sign is unspecified (it need not match the scalar oracle's).
+zero, its sign is unspecified (it need not match the scalar oracle's, and
+``np.fmin`` itself may pick either zero of a tie by the element's place in
+its loop).
+
+Demosaic, denoise, transform and the tone map walk row strips and write
+straight into their output; besides it they allocate only scratch the size
+of one strip, reused from strip to strip. Demosaic and denoise edge-pad each
+strip into one buffer and work on it flat, one contiguous pass per step
+(positions that straddle a row edge are computed and dropped), because
+NumPy's strided loops run several times slower than its contiguous ones.
 
 All arithmetic is float32 end to end; nothing clamps between stages (only
 the tone-map index is clamped).
@@ -32,7 +41,7 @@ import time
 
 import numpy as np
 
-from .images import PlanarImage, RawBayerImage, planar_from_planes
+from .images import PlanarImage, RawBayerImage
 from .params import GamutParams, PipelineParams, ToneLUT, TransformMatrix
 
 # gamut working set: a chunk of CHUNK_PIXELS pixels meets BLOCK_SLOTS // chunk
@@ -44,11 +53,13 @@ from .params import GamutParams, PipelineParams, ToneLUT, TransformMatrix
 CHUNK_PIXELS = 16384
 BLOCK_SLOTS = 65536
 
-# median working set: a strip of MEDIAN_STRIP pixels keeps its padded rows and
-# the network's (3, strip) float32 temporaries, about 1 MB, in a per-core L2;
-# at 768x512 on a 4 MB-L2 Xeon, 8k-12k pixels timed best (13 ms), 4k and 24k
-# 10-20 % slower
-MEDIAN_STRIP = 8192
+# row strips: demosaic, denoise, transform and the tone map walk strips of
+# max(1, STRIP_PIXELS // w) rows and reuse per-call scratch the size of one
+# strip (denoise: nine buffers, about 1.5 MB at 768 wide). On a 2-vCPU Xeon
+# with 2 MB L2 per core, the four kernels chained at 768x512 took 25.7 / 22.8 /
+# 22.6 / 22.7 ms at 8k / 12k / 16k / 24k pixels and at 256x192 3.00 / 2.87 /
+# 3.24 / 3.53 ms (medians of 21)
+STRIP_PIXELS = 12288
 
 # Paeth's 19 compare-exchanges for the median of nine (Devillard's opt_med9):
 # (i, j) leaves the smaller value in slot i and the larger in slot j; "lo" and
@@ -64,6 +75,23 @@ MEDIAN9_NETWORK = (
 
 F32 = np.float32
 
+# demosaic neighbor sums as (dy, dx) offsets into the padded mosaic, in
+# summation order; each is scaled by 1 / its neighbor count
+DEMOSAIC_SUMS = {
+    "up_down": ((0, 1), (2, 1)),
+    "left_right": ((1, 0), (1, 2)),
+    "edges": ((0, 1), (2, 1), (1, 0), (1, 2)),  # up, down, left, right
+    "diagonals": ((0, 0), (0, 2), (2, 0), (2, 2)),  # upper-left, upper-right, lower-left, lower-right
+}
+
+# (row parity, column parity, (R, G, B) sources) of the four RGGB sites
+DEMOSAIC_SITES = (
+    (0, 0, ("center", "edges", "diagonals")),  # R
+    (0, 1, ("left_right", "center", "up_down")),  # G on an R row
+    (1, 0, ("up_down", "center", "left_right")),  # G on a B row
+    (1, 1, ("diagonals", "edges", "center")),  # B
+)
+
 # the chain, in order: (stage, kernel attribute name, PipelineParams field or None);
 # names, not functions, so that a stage runs whatever the module attribute holds
 STAGES = (
@@ -76,102 +104,170 @@ STAGES = (
 STAGE_NAMES = tuple(stage for stage, _, _ in STAGES)
 
 
+def _pad_rows(src: np.ndarray, y0: int, y1: int, dst: np.ndarray) -> np.ndarray:
+    """Rows ``y0 - 1 .. y1`` of ``src`` (..., h, w) into ``dst`` (..., y1 - y0 + 2, w + 2).
+
+    Rows above and below the image and the two side columns replicate the edge.
+    """
+    dst[..., 0, 1:-1] = src[..., max(y0 - 1, 0), :]
+    dst[..., 1:-1, 1:-1] = src[..., y0:y1, :]
+    dst[..., -1, 1:-1] = src[..., min(y1, src.shape[-2] - 1), :]
+    dst[..., 0] = dst[..., 1]
+    dst[..., -1] = dst[..., -2]
+    return dst
+
+
+def _strips(h: int, w: int):
+    """``(y0, y1)`` of each row strip of about ``STRIP_PIXELS`` pixels, top first."""
+    rows = max(1, STRIP_PIXELS // w)
+    return [(y0, min(y0 + rows, h)) for y0 in range(0, h, rows)]
+
+
 def demosaic(raw: RawBayerImage) -> PlanarImage:
     """Bilinear RGGB interpolation with edge replication.
 
     R sites take G from the 4 edge neighbors and B from the 4 diagonals;
     G sites take R and B from their 2 co-linear neighbors; B sites mirror
-    R sites.
+    R sites. Walks row strips: each strip is edge-padded into one reused
+    buffer, the four scaled neighbor sums are taken flat over the whole
+    strip, and each site copies the ones it needs into the output.
     """
     h, w = raw.height, raw.width
-    p = np.pad(raw.mosaic, 1, mode="edge")
-    quarter = F32(0.25)
-    half = F32(0.5)
-
-    # neighbor views of the padded mosaic, aligned to output coordinates
-    ctr = p[1:-1, 1:-1]
-    up = p[:-2, 1:-1]
-    dn = p[2:, 1:-1]
-    lf = p[1:-1, :-2]
-    rt = p[1:-1, 2:]
-    ul = p[:-2, :-2]
-    ur = p[:-2, 2:]
-    dl = p[2:, :-2]
-    dr = p[2:, 2:]
-
-    r = np.empty((h, w), np.float32)
-    g = np.empty((h, w), np.float32)
-    b = np.empty((h, w), np.float32)
-
-    ee = np.s_[0::2, 0::2]  # R sites
-    eo = np.s_[0::2, 1::2]  # G sites on R rows
-    oe = np.s_[1::2, 0::2]  # G sites on B rows
-    oo = np.s_[1::2, 1::2]  # B sites
-
-    r[ee] = ctr[ee]
-    g[ee] = (((up[ee] + dn[ee]) + lf[ee]) + rt[ee]) * quarter
-    b[ee] = (((ul[ee] + ur[ee]) + dl[ee]) + dr[ee]) * quarter
-
-    g[eo] = ctr[eo]
-    r[eo] = (lf[eo] + rt[eo]) * half
-    b[eo] = (up[eo] + dn[eo]) * half
-
-    g[oe] = ctr[oe]
-    r[oe] = (up[oe] + dn[oe]) * half
-    b[oe] = (lf[oe] + rt[oe]) * half
-
-    b[oo] = ctr[oo]
-    g[oo] = (((up[oo] + dn[oo]) + lf[oo]) + rt[oo]) * quarter
-    r[oo] = (((ul[oo] + ur[oo]) + dl[oo]) + dr[oo]) * quarter
-
-    return planar_from_planes(r, g, b)
+    pw = w + 2  # padded row length
+    out = np.empty((3, h, w), np.float32)
+    strips = _strips(h, w)
+    rows = strips[0][1]
+    pad = np.empty((rows + 2) * pw, np.float32)
+    sums = np.empty((len(DEMOSAIC_SUMS), rows * pw), np.float32)
+    for y0, y1 in strips:
+        n = y1 - y0
+        p = _pad_rows(raw.mosaic, y0, y1, pad[: (n + 2) * pw].reshape(n + 2, pw)).ravel()
+        k = n * pw - 2  # the neighbors of padded position f sit at f + dy * pw + dx
+        views = {"center": p[pw + 1 :][: n * pw].reshape(n, pw)[:, :w]}
+        for buf, (name, offsets) in zip(sums, DEMOSAIC_SUMS.items()):
+            acc = buf[:k]
+            (dy0, dx0), (dy1, dx1) = offsets[:2]
+            np.add(p[dy0 * pw + dx0 :][:k], p[dy1 * pw + dx1 :][:k], out=acc)
+            for dy, dx in offsets[2:]:
+                acc += p[dy * pw + dx :][:k]
+            acc *= F32(1 / len(offsets))  # flat, then copied out: strided ufuncs are slow
+            views[name] = buf[: n * pw].reshape(n, pw)[:, :w]
+        for py, px, sources in DEMOSAIC_SITES:
+            site = np.s_[(py + y0) % 2 :: 2, px::2]  # the strip's sites of row parity py
+            for dst, name in zip(out[:, y0:y1], sources):
+                dst[site] = views[name][site]
+    return PlanarImage(width=w, height=h, planes=out)
 
 
-def _median9(window: list[np.ndarray]) -> np.ndarray:
-    """Elementwise fifth-smallest of nine equal-shape arrays; inputs are not written.
+def _network_steps(network, inputs: int):
+    """Compile compare-exchanges into ``(ufunc, a, b, dest)`` steps over registers.
 
-    The compare-exchange is ``(fmin(a, b), maximum(a, b))``: a NaN goes to
-    the larger side, so NaN orders last as in ``np.sort``.
+    Slot ``k`` starts in register ``k``, an input that is never written. Each
+    result goes to a scratch register (``inputs`` and up) that no slot still
+    reads, so a step may overwrite one of its own operands; the side that an
+    exchange marks as not read again frees its register. Returns the steps,
+    the register count and each slot's final register.
     """
-    p = list(window)
-    for i, j, keep in MEDIAN9_NETWORK:
-        a, b = p[i], p[j]
+    where, free, steps, count = list(range(inputs)), [], [], inputs
+
+    def take():
+        nonlocal count
+        if free:
+            return free.pop()
+        count += 1
+        return count - 1
+
+    for i, j, keep in network:
+        a, b = where[i], where[j]
+        lo = take() if keep == "both" else None  # fmin must not overwrite what maximum reads
+        free.extend(r for r in (a, b) if r >= inputs)
         if keep != "hi":
-            p[i] = np.fmin(a, b)
+            where[i] = lo if lo is not None else take()
+            steps.append((np.fmin, a, b, where[i]))
         if keep != "lo":
-            p[j] = np.maximum(a, b)
-    return p[4]
+            where[j] = take()
+            steps.append((np.maximum, a, b, where[j]))
+    return tuple(steps), count, where
+
+
+def _run_network(steps, registers: list) -> list:
+    """Run compiled steps; a register holding None gets a new array from its first step."""
+    for f, a, b, dest in steps:
+        registers[dest] = f(registers[a], registers[b], out=registers[dest])
+    return registers
+
+
+# the first 9 exchanges of MEDIAN9_NETWORK sort each window row's triple; the
+# last 10 take the median from the three sorted rows
+_ROW_SORT, _ROW_SORT_REGS, _SORTED = _network_steps(
+    [(i, j, keep) for i, j, keep in MEDIAN9_NETWORK[:9] if j < 3], 3
+)
+_MERGE, _MERGE_REGS, _MERGED = _network_steps(MEDIAN9_NETWORK[9:], 9)
+_MEDIAN9, _MEDIAN9_REGS, _MEDIAN9_OUT = _network_steps(MEDIAN9_NETWORK, 9)
 
 
 def _median3x3(rows3, w: int) -> np.ndarray:
-    """3x3 median of ``w`` columns from three edge-padded (..., w + 2) row blocks, top first."""
-    return _median9([r[..., dx : dx + w] for r in rows3 for dx in range(3)])
+    """3x3 median of ``w`` columns from three edge-padded (..., w + 2) row blocks, top first.
+
+    The compare-exchange is ``(fmin(a, b), maximum(a, b))``: a NaN goes to
+    the larger side, so NaN orders last as in ``np.sort``. Inputs are not written.
+    """
+    window = [r[..., dx : dx + w] for r in rows3 for dx in range(3)]
+    return _run_network(_MEDIAN9, window + [None] * (_MEDIAN9_REGS - 9))[_MEDIAN9_OUT[4]]
 
 
 def denoise(img: PlanarImage) -> PlanarImage:
     """Per-channel 3x3 median with edge replication (a selection network).
 
-    Walks row strips of about ``MEDIAN_STRIP`` pixels; each strip's three
-    vertically shifted views of the padded planes meet in ``_median3x3``.
+    Walks row strips. Each strip is edge-padded into one reused buffer and
+    processed flat, so every step is one contiguous pass: the horizontal
+    triple at each padded position is sorted once, then the rest of the
+    network runs on the sorted triples one and two padded rows down. Flat
+    positions that straddle a row or channel edge are computed and dropped.
+    The exchanges and their operands are ``_median3x3``'s.
     """
     h, w = img.height, img.width
-    p = np.pad(img.planes, ((0, 0), (1, 1), (1, 1)), mode="edge")
+    pw = w + 2  # padded row length
     out = np.empty_like(img.planes)
-    rows = max(1, MEDIAN_STRIP // w)
-    for y0 in range(0, h, rows):
-        y1 = min(y0 + rows, h)
-        out[:, y0:y1] = _median3x3([p[:, y0 + dy : y1 + dy] for dy in range(3)], w)
+    strips = _strips(h, w)
+    size = 3 * (strips[0][1] + 2) * pw
+    pad = np.empty(size, np.float32)
+    sort_scratch = np.empty((_ROW_SORT_REGS - 3, size), np.float32)
+    merge_scratch = np.empty((_MERGE_REGS - 9, size), np.float32)
+    for y0, y1 in strips:
+        n = y1 - y0
+        m = 3 * (n + 2) * pw
+        p = pad[:m]
+        _pad_rows(img.planes, y0, y1, p.reshape(3, n + 2, pw))
+        k = m - 2  # positions that start a horizontal triple
+        regs = [p[dx : dx + k] for dx in range(3)] + [s[:k] for s in sort_scratch]
+        lo_mid_hi = [_run_network(_ROW_SORT, regs)[r] for r in _SORTED]
+        k -= 2 * pw  # positions that start a 3x3 window
+        window = [s[dy * pw : dy * pw + k] for dy in range(3) for s in lo_mid_hi]
+        _run_network(_MERGE, window + [s[:k] for s in merge_scratch])
+        medians = merge_scratch[_MERGED[4] - 9, :m].reshape(3, n + 2, pw)
+        out[:, y0:y1] = medians[:, :n, :w]
     return PlanarImage(width=w, height=h, planes=out)
 
 
 def transform(img: PlanarImage, m: TransformMatrix) -> PlanarImage:
-    """out = m . [r, g, b]^T per pixel; no clamping."""
-    r, g, b = img.planes
-    mm = m.m
+    """out = m . [r, g, b]^T per pixel, as ``(m0*r + m1*g) + m2*b``; no clamping.
+
+    Walks row strips; each product broadcasts one matrix column over all
+    three output channels of the strip.
+    """
+    h, w = img.height, img.width
+    columns = m.m.T[:, :, None, None]  # column k as a (3, 1, 1) channel vector
     out = np.empty_like(img.planes)
-    for c in range(3):
-        out[c] = (mm[c, 0] * r + mm[c, 1] * g) + mm[c, 2] * b
-    return PlanarImage(width=img.width, height=img.height, planes=out)
+    strips = _strips(h, w)
+    scratch = np.empty((3, strips[0][1], w), np.float32)
+    for y0, y1 in strips:
+        r, g, b = img.planes[:, y0:y1]
+        acc, t = out[:, y0:y1], scratch[:, : y1 - y0]
+        np.multiply(columns[0], r, out=acc)
+        acc += np.multiply(columns[1], g, out=t)
+        acc += np.multiply(columns[2], b, out=t)
+    return PlanarImage(width=w, height=h, planes=out)
 
 
 def gamut_point_major(
@@ -245,6 +341,17 @@ def gamut_map(img: PlanarImage, gp: GamutParams) -> PlanarImage:
     return PlanarImage(width=w, height=h, planes=out.reshape(3, h, w))
 
 
+def _quantize(values: np.ndarray, scaled: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``rows[...] = clamp(floor(values * 255 + 0.5), 0, 255)``; ``scaled`` is float32 scratch."""
+    np.multiply(values, F32(255.0), out=scaled)
+    scaled += F32(0.5)
+    np.floor(scaled, out=scaled)
+    np.fmax(scaled, F32(0.0), out=scaled)
+    np.fmin(scaled, F32(255.0), out=scaled)
+    np.copyto(rows, scaled, casting="unsafe")
+    return rows
+
+
 def tone_index(values: np.ndarray) -> np.ndarray:
     """Quantize to the LUT row: clamp(round(v*255), 0, 255), ties away from 0.
 
@@ -252,20 +359,26 @@ def tone_index(values: np.ndarray) -> np.ndarray:
     any ``x < 0`` clamps to row 0 either way. NaN maps to row 0 (``fmax``
     prefers the non-NaN operand), +inf to 255.
     """
-    scaled = np.floor(values * F32(255.0) + F32(0.5))
-    return np.fmin(np.fmax(scaled, 0.0), 255.0).astype(np.int64)
+    return _quantize(values, np.empty_like(values), np.empty(values.shape, np.int64))
 
 
 def _tone_map_indexed(img: PlanarImage, t: ToneLUT, rows: np.ndarray | None = None):
-    """The tone map; ``rows``, when given, receives the ``(3, h, w)`` LUT rows it read."""
+    """The tone map; ``rows``, when given, receives the ``(3, h, w)`` LUT rows it read.
+
+    Walks row strips, quantizing all three channels of a strip at once.
+    """
+    h, w = img.height, img.width
     out = np.empty_like(img.planes)
-    for c in range(3):
-        if rows is None:  # drop the int64 rows before the lookup result: lower peak memory
-            out[c] = t.lut[tone_index(img.planes[c]), c]
-        else:
-            rows[c] = tone_index(img.planes[c])
-            out[c] = t.lut[rows[c], c]
-    return PlanarImage(width=img.width, height=img.height, planes=out)
+    lut = np.ascontiguousarray(t.lut.T)  # (3, 256): one contiguous row per channel
+    strips = _strips(h, w)
+    scaled = np.empty((3, strips[0][1], w), np.float32)
+    index = np.empty((3, strips[0][1], w), np.int64) if rows is None else None
+    for y0, y1 in strips:
+        k = index[:, : y1 - y0] if rows is None else rows[:, y0:y1]
+        _quantize(img.planes[:, y0:y1], scaled[:, : y1 - y0], k)
+        for c in range(3):
+            np.take(lut[c], k[c], out=out[c, y0:y1], mode="wrap")  # in range; no bounds buffer
+    return PlanarImage(width=w, height=h, planes=out)
 
 
 def tone_map(img: PlanarImage, t: ToneLUT) -> PlanarImage:

@@ -10,7 +10,7 @@ import numpy as np
 
 from ispbench.cache import CacheAccessError, ConstCacheSim
 from ispbench.dataflow import StageStats
-from ispbench.images import PlanarImage, RawBayerImage, planar_from_planes
+from ispbench.images import PlanarImage, RawBayerImage
 from ispbench.params import (
     GamutParams,
     PipelineParams,
@@ -225,6 +225,12 @@ def cache_access(sim: ConstCacheSim, offset: int) -> bool:
     sim.tags[slot] = line
     sim.misses += 1
     return False
+
+
+def planar_from_planes(r: np.ndarray, g: np.ndarray, b: np.ndarray) -> PlanarImage:
+    planes = np.stack([r, g, b]).astype(np.float32, copy=False)
+    h, w = r.shape
+    return PlanarImage(width=w, height=h, planes=planes)
 
 
 def planar_from_rgb(rgb_rows) -> PlanarImage:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -73,3 +74,21 @@ def test_the_pipeline_stage_reports_shares_summing_to_1_in_stage_order():
     assert list(p.stage_shares) == list(p.stage_times) == list(STAGE_NAMES)
     assert math.isclose(sum(p.stage_shares.values()), 1.0)
     assert p.reference_total == sum(p.stage_times.values())
+
+
+def test_the_pipeline_stage_averages_every_rep(monkeypatch):
+    runs = []
+    original = harness.run_pipeline
+
+    def counted(*args, **kwargs):
+        img, times = original(*args, **kwargs)
+        runs.append(times)
+        return img, times
+
+    monkeypatch.setattr(harness, "run_pipeline", counted)
+    cfg = HarnessConfig(stage="pipeline", synth_spec="16x12:noise:1", n_points=5, reps=5)
+    p = run_matrix(cfg).pipeline
+    assert len(runs) == 5
+    means = {s: statistics.fmean(run[s] for run in runs) for s in STAGE_NAMES}
+    assert p.stage_times == means
+    assert p.stage_shares == {s: t / sum(means.values()) for s, t in means.items()}

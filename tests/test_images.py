@@ -10,13 +10,12 @@ from ispbench.images import (
     load_ppm,
     load_raw_planar,
     mosaic_from_planar,
-    planar_from_planes,
     save_ppm,
     save_raw_planar,
     synth_bayer,
 )
 
-from _helpers import planar_from_rgb
+from _helpers import planar_from_planes, planar_from_rgb
 
 
 class TestPpm:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -62,15 +64,125 @@ def test_denoise_matches_oracle_bit_for_bit(w, h):
         assert np.array_equal(bits(kernels.denoise(img)), bits(denoise_oracle(img)))
 
 
-@pytest.mark.parametrize("w,h", [(7, 5), (34, 19)])
-@pytest.mark.parametrize(
+# strips of 1, 2 and 3 rows
+STRIPS = pytest.mark.parametrize(
     "strip", [lambda w: 1, lambda w: 3 * w - 1, lambda w: 3 * w + 1], ids=["1", "3w-1", "3w+1"]
 )
+
+
+@pytest.mark.parametrize("w,h", [(7, 5), (34, 19)])
+@STRIPS
 def test_denoise_strip_edges(monkeypatch, w, h, strip):
     # strips of 1, 2 and 3 rows; h leaves a shorter last strip for 2 and 3
-    monkeypatch.setattr(kernels, "MEDIAN_STRIP", strip(w))
+    monkeypatch.setattr(kernels, "STRIP_PIXELS", strip(w))
     for img in (rand_planar(w, h, seed=3), three_valued(w, h, seed=4)):
         assert np.array_equal(bits(kernels.denoise(img)), bits(denoise_oracle(img)))
+
+
+def test_the_first_nine_exchanges_sort_each_window_row():
+    # denoise sorts each padded row's triples once and runs only the rest per window
+    for row in range(3):
+        steps = [e for e in kernels.MEDIAN9_NETWORK[:9] if e[0] // 3 == row]
+        assert steps == [(3 * row + i, 3 * row + j, "both") for i, j in ((1, 2), (0, 1), (1, 2))]
+
+
+@pytest.mark.parametrize("w,h", [(1, 1), (7, 5), (34, 19)])
+@STRIPS
+def test_denoise_equals_median3x3_on_the_whole_padded_image(monkeypatch, w, h, strip):
+    monkeypatch.setattr(kernels, "STRIP_PIXELS", strip(w))
+    rng = np.random.default_rng(w + h)
+    planes = rng.choice(np.array([0.0, -0.0, 0.5, np.nan, -np.inf], np.float32), size=(3, h, w))
+    img = PlanarImage(width=w, height=h, planes=planes)
+    p = np.pad(planes, ((0, 0), (1, 1), (1, 1)), mode="edge")
+    before = p.tobytes()
+    want = kernels._median3x3([p[:, dy : dy + h] for dy in range(3)], w)
+    assert p.tobytes() == before  # inputs are not written
+    got = kernels.denoise(img).planes
+    assert np.array_equal(got, want, equal_nan=True)
+    # zeros compare by value: on a +0/-0 tie, np.fmin's SIMD loop can return either
+    # operand depending on the element's place in the loop (over 40 contiguous
+    # (+0, -0) pairs it returns -0 at every index but 32), not on the operands
+    nonzero = got != 0  # NaN included: a NaN median is a window element, payload and all
+    assert np.array_equal(got[nonzero].view(np.uint32), want[nonzero].view(np.uint32))
+
+
+@pytest.mark.parametrize("w,h", [(2, 2), (6, 10), (34, 10)])
+@STRIPS
+def test_demosaic_strip_edges(monkeypatch, w, h, strip):
+    # mosaic heights are even: 3-row strips start on odd rows and leave a 1-row last strip
+    monkeypatch.setattr(kernels, "STRIP_PIXELS", strip(w))
+    raw = rand_raw(w, h, seed=w * h)
+    assert np.array_equal(bits(kernels.demosaic(raw)), bits(demosaic_oracle(raw)))
+
+
+def special_values(w: int, h: int, seed: int) -> PlanarImage:
+    """Random planes with NaN, +-inf and -0.0 mixed in."""
+    img = rand_planar(w, h, seed=seed, lo=-0.2, hi=1.2)
+    rng = np.random.default_rng(seed)
+    specials = np.array([np.nan, np.inf, -np.inf, -0.0], np.float32)
+    mask = rng.random(img.planes.shape) < 0.3
+    img.planes[mask] = rng.choice(specials, size=int(mask.sum()))
+    return img
+
+
+def transform_by_planes(img: PlanarImage, m) -> np.ndarray:
+    """The transform one whole plane at a time."""
+    r, g, b = img.planes
+    return np.stack([(m.m[c, 0] * r + m.m[c, 1] * g) + m.m[c, 2] * b for c in range(3)])
+
+
+@pytest.mark.parametrize("w,h", [(1, 1), (7, 5), (34, 19)])
+@STRIPS
+def test_transform_strip_edges_and_special_values(monkeypatch, w, h, strip):
+    # the scalar oracle's inf - inf NaN differs in sign from an array add's, so
+    # special values are checked against whole-plane array arithmetic
+    monkeypatch.setattr(kernels, "STRIP_PIXELS", strip(w))
+    m = rand_params(4).transform
+    plain, special = rand_planar(w, h, seed=5, lo=-0.2, hi=1.2), special_values(w, h, seed=6)
+    assert kernels.transform(plain, m).planes.tobytes() == transform_oracle(plain, m).planes.tobytes()
+    with np.errstate(invalid="ignore"):  # inf - inf
+        for img in (plain, special):
+            assert kernels.transform(img, m).planes.tobytes() == transform_by_planes(img, m).tobytes()
+
+
+def tone_by_planes(img: PlanarImage, t: ToneLUT) -> np.ndarray:
+    """The tone map one whole plane at a time."""
+    return np.stack([t.lut[kernels.tone_index(img.planes[c]), c] for c in range(3)])
+
+
+@pytest.mark.parametrize("w,h", [(1, 1), (7, 5), (34, 19)])
+@STRIPS
+def test_tone_map_strip_edges_and_special_values(monkeypatch, w, h, strip):
+    monkeypatch.setattr(kernels, "STRIP_PIXELS", strip(w))
+    t = rand_params(4).tone
+    plain, special = rand_planar(w, h, seed=7, lo=-0.2, hi=1.2), special_values(w, h, seed=8)
+    assert kernels.tone_map(plain, t) == tone_oracle(plain, t)
+    for img in (plain, special):
+        assert kernels.tone_map(img, t).planes.tobytes() == tone_by_planes(img, t).tobytes()
+        rows = np.empty((3, h, w), np.int64)
+        out = kernels._tone_map_indexed(img, t, rows)
+        assert np.array_equal(rows, kernels.tone_index(img.planes))
+        assert out.planes.tobytes() == tone_by_planes(img, t).tobytes()
+
+
+@pytest.mark.parametrize("kernel", ["demosaic", "denoise", "transform", "tone_map"])
+def test_cheap_kernels_allocate_under_half_their_output_besides_it(kernel):
+    # 768x512: strip scratch, not frame-sized temporaries
+    params = rand_params(4)
+    raw, img = rand_raw(768, 512), rand_planar(768, 512, lo=-0.2, hi=1.2)
+    args = {
+        "demosaic": (raw,),
+        "denoise": (img,),
+        "transform": (img, params.transform),
+        "tone_map": (img, params.tone),
+    }[kernel]
+    tracemalloc.start()
+    try:
+        out = getattr(kernels, kernel)(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - out.planes.nbytes < out.planes.nbytes / 2
 
 
 @pytest.mark.parametrize("w,h", [(1, 1), (2, 2), (7, 5), (34, 18)])
