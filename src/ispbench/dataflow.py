@@ -1,37 +1,35 @@
 """Channel-connected pipeline execution with stall accounting.
 
-The five stages run as concurrent workers joined by bounded FIFO channels.
-One channel item is one image row, a fresh ``(3, w)`` float32 array.  The
-first stage demosaics the whole mosaic (it needs a row window, not a stream)
-and feeds its rows to the first channel; the median stage keeps the last three
-rows, each edge-padded once, and emits the median of one row once the row
-below it arrives, through the same network as ``denoise``; the remaining
-stages are pointwise and run their kernel on one row at a time.
-Arithmetic is delegated to the reference kernels, so the output is
-bit-identical to the sequential pipeline no matter how the workers are
-scheduled.  ``ChannelConfig.depth`` counts pixels; a channel holds
-``ceil(depth / w)`` rows.
+The five stages run as workers joined by bounded FIFO channels.  One channel
+item is one image row, a fresh ``(3, w)`` float32 array.  The first stage
+demosaics the whole mosaic (it needs a row window, not a stream) and feeds
+its rows to the first channel; the median stage keeps the last three rows,
+each edge-padded once, and emits the median of one row once the row below it
+arrives, through the same network as ``denoise``; the remaining stages are
+pointwise and run their kernel on one row at a time.  Arithmetic is
+delegated to the reference kernels, so the output is bit-identical to the
+sequential pipeline in any interleaving.  ``ChannelConfig.depth`` counts
+pixels; a channel holds ``ceil(depth / w)`` rows.
 
 Two clocks are supported:
 
-* ``wall`` -- real threads and real queues.  Blocking times are measured
-  from the first failed push/pop attempt to the successful transfer; they
-  are advisory (scheduler noise).
+* ``wall`` -- the real kernels, interleaved on the calling thread: each stage
+  is a generator that yields while its input FIFO is empty or its output
+  FIFO is full.  Blocking times run from the first failed push/pop attempt
+  to the successful transfer, so a stage's blocked time is wall time spent
+  while other stages run, and its busy and blocked spans never overlap.
 * ``virtual`` -- the exact timing of the same network with one item per
   pixel and ``depth`` pixels per channel, in closed form: a max-plus scan
   over blocks of ``depth`` items that stops once the chain turns periodic.
   Latencies must be integers; they are the per-pixel access counts of the
   traffic model.  Here ``busy + blocked_push + blocked_pop == wall_time``.
 
-On both clocks ``items_processed`` counts pixels.  A worker fault poisons
-downstream channels and the run raises ``StageFault`` naming the
-originating stage.
+On both clocks ``items_processed`` counts pixels.  A worker fault ends the
+run with ``StageFault`` naming the stage that raised.
 """
 
 from __future__ import annotations
 
-import queue
-import threading
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -45,8 +43,6 @@ from .kernels import STAGE_NAMES, STAGES, _median3x3, run_pipeline
 from .kernels import demosaic, denoise, gamut_map, tone_map, transform
 from .params import PipelineParams
 from .variants import VariantConfig, traffic
-
-_POISON = object()
 
 
 class StageFault(RuntimeError):
@@ -161,132 +157,63 @@ def stage_cost_units(n_points: int) -> dict[str, float]:
 
 
 # ---------------------------------------------------------------------------
-# Wall clock: one thread per stage, bounded queues, row granularity
+# Wall clock: one coroutine per stage on the calling thread, bounded FIFOs
 # ---------------------------------------------------------------------------
 
-class _Aborted(Exception):
-    pass
-
-
-class _Channel:
-    """Bounded FIFO with stall accounting and abort support."""
-
-    def __init__(self, depth: int, abort: threading.Event):
-        self._q = queue.Queue(maxsize=depth)
-        self._abort = abort
-
-    def put(self, item, stats: StageStats):
-        try:
-            self._q.put_nowait(item)
-            return
-        except queue.Full:
-            pass
-        t0 = time.perf_counter()
-        while True:
-            if self._abort.is_set():
-                raise _Aborted()
-            try:
-                self._q.put(item, timeout=0.02)
-                stats.blocked_push_time += time.perf_counter() - t0
-                return
-            except queue.Full:
-                continue
-
-    def get(self, stats: StageStats):
-        try:
-            return self._q.get_nowait()
-        except queue.Empty:
-            pass
-        t0 = time.perf_counter()
-        while True:
-            if self._abort.is_set():
-                raise _Aborted()
-            try:
-                item = self._q.get(timeout=0.02)
-                stats.blocked_pop_time += time.perf_counter() - t0
-                return item
-            except queue.Empty:
-                continue
-
-    def drain(self):
-        while True:
-            try:
-                self._q.get_nowait()
-            except queue.Empty:
-                return
-
-    def poison(self):
-        self.drain()
-        while True:
-            try:
-                self._q.put_nowait(_POISON)
-                return
-            except queue.Full:
-                self.drain()
-
-
 def _run_chain(raw, stages, depth: int) -> tuple[list[StageStats], list[np.ndarray]]:
-    """Run ``stages`` as one thread each, joined by channels of ``depth`` rows.
+    """Run ``stages`` as generators on this thread, joined by FIFOs of ``depth`` rows.
 
     ``stages`` is a list of ``(name, fn)``: the first ``fn`` maps ``raw`` to
-    its rows, every later one maps one upstream row to a list of rows.  The
-    last stage's rows are returned.  A fault in any stage aborts the run,
-    poisons downstream, and raises ``StageFault``.
+    its rows, every later one maps one upstream row to a list of rows.  A
+    stage yields while its input FIFO is empty or its output FIFO is full,
+    and a plain loop resumes the live stages downstream-first until all
+    finish.  The last stage's rows are returned.  A fault in any stage ends
+    the run with ``StageFault``.
     """
-    abort = threading.Event()
-    faults: list[tuple[str, BaseException]] = []
     k = len(stages)
-    channels = [_Channel(depth, abort) for _ in range(k - 1)]
+    fifos = [deque([raw]), *(deque() for _ in range(k))]  # stage i pops fifos[i]; the last is the sink
+    closed = [True] + [False] * k  # fifos[i] gets no more rows
     stats = [StageStats(name=name) for name, _ in stages]
-    sink: list[np.ndarray] = []
 
-    def inputs(i, st):
-        if i == 0:
-            yield raw
-            return
-        while (item := channels[i - 1].get(st)) is not _POISON:
-            yield item
-
-    def stage_loop(i, name, fn):
-        st = stats[i]
+    def worker(i, fn):
+        st, src, dst = stats[i], fifos[i], fifos[i + 1]
+        cap = depth if i + 1 < k else float("inf")
         t_start = time.perf_counter()
         try:
-            for item in inputs(i, st):
+            while True:
+                if not (src or closed[i]):
+                    t0 = time.perf_counter()
+                    while not (src or closed[i]):
+                        yield
+                    st.blocked_pop_time += time.perf_counter() - t0
+                if not src:
+                    return
+                item = src.popleft()
                 t0 = time.perf_counter()
                 rows = fn(item)
                 st.busy_time += time.perf_counter() - t0
                 for row in rows:
-                    if i + 1 < k:
-                        channels[i].put(row, st)
-                    else:
-                        sink.append(row)
+                    if len(dst) >= cap:
+                        t0 = time.perf_counter()
+                        while len(dst) >= cap:
+                            yield
+                        st.blocked_push_time += time.perf_counter() - t0
+                    dst.append(row)
                     st.items_processed += row.shape[1]  # pixels, as on the virtual clock
-            if i + 1 < k:
-                channels[i].put(_POISON, st)
-        except _Aborted:
-            pass
-        except BaseException as exc:  # noqa: BLE001 - reported via StageFault
-            faults.append((name, exc))
-            abort.set()
-            if i + 1 < k:
-                channels[i].poison()
         finally:
+            closed[i + 1] = True
             st.wall_time = time.perf_counter() - t_start
 
-    threads = [
-        threading.Thread(
-            target=stage_loop, args=(i, name, fn), name=f"dataflow-{name}", daemon=True
-        )
-        for i, (name, fn) in enumerate(stages)
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    if faults:
-        name, exc = faults[0]
-        raise StageFault(name, exc)
-    return stats, sink
+    live = [(name, worker(i, fn)) for i, (name, fn) in enumerate(stages)][::-1]
+    while live:
+        for name, gen in live[:]:
+            try:
+                next(gen)
+            except StopIteration:
+                live.remove((name, gen))
+            except Exception as exc:
+                raise StageFault(name, exc) from exc
+    return stats, list(fifos[k])
 
 
 def _denoise_rows(height: int):
@@ -294,10 +221,8 @@ def _denoise_rows(height: int):
 
     Each row is edge-padded once on arrival, and a row's median reads the
     padded [prev, cur, next] rows, with the top and bottom rows replicated,
-    so it matches the full-image median bit for bit.  Only the emitted row is
-    computed: its nine (3, w) views stay below the size at which NumPy drops
-    the GIL inside a ufunc, so the network does not trade the GIL with the
-    other stage threads on every call.
+    so it matches the full-image median bit for bit.  Each call computes
+    only the row it emits, never the rows around it.
     """
     window: deque[np.ndarray] = deque(maxlen=3)  # trailing padded rows, each (3, w + 2)
     seen = 0

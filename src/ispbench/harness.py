@@ -128,7 +128,7 @@ def _meta(cfg: HarnessConfig, raw: RawBayerImage, params: PipelineParams, image_
         "stage": cfg.stage,
         "mode": cfg.mode,
         "clock": cfg.clock,
-        "reps": cfg.reps,
+        "reps": 1 if cfg.mode == "dataflow" else cfg.reps,  # the runs actually made
         "channel_depth": cfg.channel_depth,
         "cache_size": cfg.cache_size if cfg.cache_size is not None else DEFAULT_CACHE_BYTES,
         "paper_comparison": "qualitative-only",

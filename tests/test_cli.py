@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -31,6 +32,12 @@ def test_gate_failure_exits_1(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_matrix", lambda cfg: harness.run_matrix(cfg, perturb=perturb))
     assert cli.main(GAMUT) == 1
     assert "FAILED" in capsys.readouterr().out
+
+
+def test_dataflow_mode_records_the_one_run_it_makes_not_reps(capsys):
+    flags = ["--mode", "dataflow", "--synth", "16x12:noise:1", "--n-points", "5", "--reps", "3"]
+    assert cli.main([*flags, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["meta"]["reps"] == 1
 
 
 @pytest.mark.parametrize(

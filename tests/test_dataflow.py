@@ -104,6 +104,38 @@ def test_wall_median_computes_each_row_once_and_only_that_row(monkeypatch, h):
     assert calls == [(3, w)] * h
 
 
+def test_a_wall_run_starts_no_thread(monkeypatch):
+    original, seen = dataflow.gamut_map, set()
+
+    def recording(img, gp):
+        seen.add((threading.get_ident(), threading.active_count()))
+        return original(img, gp)
+
+    monkeypatch.setattr(dataflow, "gamut_map", recording)
+    raw, params = rand_raw(16, 12), rand_params(4)
+    ref = run_pipeline(raw, params)
+    before = threading.active_count()
+    for _ in range(20):
+        assert run_pipeline_dataflow(raw, params, ChannelConfig(16), clock="wall").image == ref
+    assert threading.active_count() == before
+    assert seen == {(threading.get_ident(), before)}
+
+
+@pytest.mark.parametrize("depth", [1, 64, 10_000])
+def test_wall_busy_and_blocked_spans_never_overlap(depth):
+    # one thread: a stage is busy, blocked or idle at any instant, and only one stage is busy
+    raw, params = rand_raw(32, 24), rand_params(16)
+    result = run_joined(
+        lambda: run_pipeline_dataflow(raw, params, ChannelConfig(depth), clock="wall")
+    )["value"]
+    rounding = 1 + 1e-12
+    for st in result.stats.values():
+        spans = st.busy_time + st.blocked_push_time + st.blocked_pop_time
+        assert spans <= st.wall_time * rounding, st
+    assert sum(st.busy_time for st in result.stats.values()) <= result.makespan * rounding
+    assert result.stats["demosaic"].blocked_pop_time == 0.0  # the source never waits for input
+
+
 def test_both_clocks_name_gamut_the_bottleneck_at_3611_points():
     raw, params = rand_raw(16, 12), rand_params(3611)
     for clock in ("wall", "virtual"):
