@@ -2,10 +2,22 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
-from ispbench.harness import HarnessConfig, run_matrix
-from ispbench.report import CSV_HEADER, emit_report, report_from_json
+from ispbench.dataflow import StageStats
+from ispbench.harness import HarnessConfig, _stats_dict, run_matrix
+from ispbench.perfmodel import PipelineEstimate
+from ispbench.report import (
+    CSV_HEADER,
+    BenchReport,
+    PipelineSection,
+    VariantRow,
+    emit_report,
+    report_from_json,
+)
+from ispbench.variants import AccessCounters
 
 CSV_HEADER_BYTES = (
     b"stage,variant,status,max_deviation,tolerance,wall_time_mean,wall_time_min,speedup,"
@@ -41,6 +53,39 @@ def test_csv_header_bytes_are_fixed(sweep):
     csv = emit_report(sweep, "csv")
     assert csv.startswith(CSV_HEADER_BYTES)
     assert len(csv.splitlines()) == 1 + len(sweep.rows)
+
+
+def fixed_report() -> BenchReport:
+    """One PASS row, one FAILED row and a dataflow section, every value fixed."""
+    counters = AccessCounters(96, 48, 0, 30, 6, 0, wall_time=0.5).traffic_fields()
+    opt = PipelineEstimate(1, 4100, 12.5, True).as_dict()
+    rows = [
+        VariantRow("gamut", "RIWC", "PASS", 0.0, 0.0, 0.25, 0.125, 1.5, counters, opt),
+        VariantRow(
+            "gamut", "RIWB+U6", "FAILED", 0.5, 1e-4, counters=counters, optimization_report=opt,
+            note="equivalence check failed; excluded from timing",
+        ),
+    ]
+    stats = {"denoise": StageStats("denoise", 24, 0.5, 0.25, 0.125, 1.0)}
+    flow = {
+        "clock": "wall",
+        "channel_depth": 3,
+        "output_matches": True,
+        "stages": _stats_dict(stats),
+        "makespan": 2.0,
+    }
+    meta = {"width": 16, "height": 12}
+    return BenchReport("2026-01-01T00:00:00+00:00", meta, rows, PipelineSection(dataflow=flow))
+
+
+def test_csv_and_json_bytes_of_a_fixed_report():
+    report = fixed_report()
+    assert emit_report(report, "csv") == CSV_HEADER_BYTES + (
+        b"gamut,RIWC,PASS,0.0,0.0,0.25,0.125,1.5,96,48,0,30,6,0,1,4100,12.5,true\n"
+        b"gamut,RIWB+U6,FAILED,0.5,0.0001,,,,96,48,0,30,6,0,1,4100,12.5,true\n"
+    )
+    digest = hashlib.sha256(emit_report(report, "json")).hexdigest()
+    assert digest == "115d474e2aba245f702f91b0643ee4ae9dc23d0dbe0b6ed9abffc338f181ca14"
 
 
 def test_text_report_shows_the_makespan_on_both_clocks(flow):
