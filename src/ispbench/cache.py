@@ -1,7 +1,7 @@
 """Direct-mapped cache simulator for read-only kernel operands.
 
 Addresses are byte offsets into a single flat region registered at
-construction time.  The mapping is ``(offset // line_bytes) % lines`` with
+construction time.  The mapping is ``(offset // LINE_BYTES) % lines`` with
 no prefetch and no associativity.  ``access_trace`` consumes a whole
 offset array with the counts of touching each offset in turn, and
 ``access_repeated`` exploits the fact that the tag state after any
@@ -21,19 +21,16 @@ class CacheAccessError(ValueError):
 
 
 class ConstCacheSim:
-    def __init__(self, size_bytes: int, region_bytes: int, line_bytes: int = LINE_BYTES):
-        if line_bytes != LINE_BYTES:
-            raise ValueError(f"line size is fixed at {LINE_BYTES} bytes")
-        if size_bytes < line_bytes or size_bytes & (size_bytes - 1):
+    def __init__(self, size_bytes: int, region_bytes: int):
+        if size_bytes < LINE_BYTES or size_bytes & (size_bytes - 1):
             raise ValueError(
-                f"cache size must be a power of two >= {line_bytes}, got {size_bytes}"
+                f"cache size must be a power of two >= {LINE_BYTES}, got {size_bytes}"
             )
         if region_bytes < 1:
             raise ValueError("registered region must be non-empty")
         self.size_bytes = size_bytes
         self.region_bytes = region_bytes
-        self.line_bytes = line_bytes
-        self.lines = size_bytes // line_bytes
+        self.lines = size_bytes // LINE_BYTES
         self.tags = np.full(self.lines, -1, dtype=np.int64)
         self.hits = 0
         self.misses = 0
@@ -58,7 +55,7 @@ class ConstCacheSim:
             raise CacheAccessError(
                 f"offset {bad} outside registered region [0, {self.region_bytes})"
             )
-        lines = offsets // self.line_bytes
+        lines = offsets // LINE_BYTES
         slots = lines % self.lines
         order = np.argsort(slots, kind="stable")
         sl = slots[order]

@@ -3,13 +3,14 @@
 The five stages run as workers joined by bounded FIFO channels.  One channel
 item is one image row, a fresh ``(3, w)`` float32 array.  The first stage
 demosaics the whole mosaic (it needs a row window, not a stream) and feeds
-its rows to the first channel; the median stage keeps the last three rows,
-each edge-padded once, and emits the median of one row once the row below it
-arrives, through the same network as ``denoise``; the remaining stages are
-pointwise and run their kernel on one row at a time.  Arithmetic is
-delegated to the reference kernels, so the output is bit-identical to the
-sequential pipeline in any interleaving.  ``ChannelConfig.depth`` counts
-pixels; a channel holds ``ceil(depth / w)`` rows.
+its rows to the first channel; the median stage sorts each row's horizontal
+triples once, keeps those of the last three rows, and emits the median of one
+row once the row below it arrives, through the same two functions as
+``denoise``; the remaining stages are pointwise and run their kernel on one
+row at a time.  Arithmetic is delegated to the reference kernels, so the
+output is bit-identical to the sequential pipeline in any interleaving.
+``ChannelConfig.depth`` counts pixels; a channel holds ``ceil(depth / w)``
+rows.
 
 Two clocks are supported:
 
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .images import PlanarImage, RawBayerImage
-from .kernels import STAGE_NAMES, STAGES, _median3x3, run_pipeline
+from .kernels import STAGE_NAMES, STAGES, _median_of_sorted, _sort3, run_pipeline
 # module attributes that tracers patch by name: ``denoise`` is not called here, and
 # the pointwise workers look theirs up by name at call time
 from .kernels import demosaic, denoise, gamut_map, tone_map, transform
@@ -219,23 +220,27 @@ def _run_chain(raw, stages, depth: int) -> tuple[list[StageStats], list[np.ndarr
 def _denoise_rows(height: int):
     """Median worker: row ``y - 1`` once row ``y`` arrives, the last row at the end.
 
-    Each row is edge-padded once on arrival, and a row's median reads the
-    padded [prev, cur, next] rows, with the top and bottom rows replicated,
-    so it matches the full-image median bit for bit.  Each call computes
-    only the row it emits, never the rows around it.
+    Each arriving row is edge-padded and its horizontal triples sorted once
+    (``_sort3``); the window keeps the sorted triples of the last three rows.
+    A row's median merges the [prev, cur, next] triples
+    (``_median_of_sorted``), with the top and bottom rows replicated, so it
+    matches ``denoise`` bit for bit. Each call merges only the row it emits.
     """
-    window: deque[np.ndarray] = deque(maxlen=3)  # trailing padded rows, each (3, w + 2)
+    window: deque[np.ndarray] = deque(maxlen=3)  # trailing rows' (lo, mid, hi), each (3, 3, w)
     seen = 0
 
     def process(row):
         nonlocal seen
         w = row.shape[1]
-        window.append(np.concatenate((row[:, :1], row, row[:, -1:]), axis=1))
+        p = np.concatenate((row[:, :1], row, row[:, -1:]), axis=1)
+        triples, scratch = np.empty((2, 3, 3, w), np.float32)
+        _sort3(p[:, :w], p[:, 1:-1], p[:, 2:], *triples, scratch[0])
+        window.append(triples)
         seen += 1
-        out = [_median3x3((window[0], window[-2], window[-1]), w)] if seen >= 2 else []
+        emit = [(window[0], window[-2], window[-1])] if seen >= 2 else []
         if seen == height:
-            out.append(_median3x3((window[-2], window[-1], window[-1]), w))
-        return out
+            emit.append((window[-2], window[-1], window[-1]))
+        return [_median_of_sorted(*rows3, np.empty((3, w), np.float32), *scratch) for rows3 in emit]
 
     return process
 

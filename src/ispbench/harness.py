@@ -137,13 +137,7 @@ def _meta(cfg: HarnessConfig, raw: RawBayerImage, params: PipelineParams, image_
 
 def _stats_dict(stats) -> dict:
     return {
-        name: {
-            "items_processed": st.items_processed,
-            "busy_time": st.busy_time,
-            "blocked_push_time": st.blocked_push_time,
-            "blocked_pop_time": st.blocked_pop_time,
-            "wall_time": st.wall_time,
-        }
+        name: {k: v for k, v in dataclasses.asdict(st).items() if k != "name"}
         for name, st in stats.items()
     }
 

@@ -34,9 +34,26 @@ class ImageFormatError(ValueError):
         self.offset = offset
 
 
-def _round_half_away(x: np.ndarray) -> np.ndarray:
-    """Round to nearest integer, ties away from zero (0.5 -> 1, -0.5 -> -1)."""
-    return np.sign(x) * np.floor(np.abs(x) + np.float32(0.5))
+def _quantize(values: np.ndarray, scaled: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``rows[...] = clamp(floor(values * 255 + 0.5), 0, 255)``; ``scaled`` is float32 scratch."""
+    np.multiply(values, np.float32(255.0), out=scaled)
+    scaled += np.float32(0.5)
+    np.floor(scaled, out=scaled)
+    np.fmax(scaled, np.float32(0.0), out=scaled)
+    np.fmin(scaled, np.float32(255.0), out=scaled)
+    np.copyto(rows, scaled, casting="unsafe")
+    return rows
+
+
+def tone_index(values: np.ndarray) -> np.ndarray:
+    """Quantize to 8 bits: clamp(round(v*255), 0, 255), ties away from 0.
+
+    Gives the tone map's LUT row and the byte ``save_ppm`` writes.
+    ``floor(x + 0.5)`` rounds ties away from zero for every ``x >= 0``, and
+    any ``x < 0`` clamps to row 0 either way. NaN maps to row 0 (``fmax``
+    prefers the non-NaN operand), +inf to 255, -inf and -0.0 to 0.
+    """
+    return _quantize(values, np.empty_like(values), np.empty(values.shape, np.int64))
 
 
 @dataclass(frozen=True)
@@ -157,9 +174,8 @@ def load_ppm(path: str | Path) -> PlanarImage:
 
 
 def save_ppm(img: PlanarImage, path: str | Path) -> None:
-    """Write binary PPM; v maps to clamp(round(v*255), 0, 255), ties away from 0."""
-    scaled = _round_half_away(img.planes * np.float32(255.0))
-    bytes8 = np.clip(scaled, 0.0, 255.0).astype(np.uint8)
+    """Write binary PPM; each value maps to its ``tone_index`` row as one byte."""
+    bytes8 = tone_index(img.planes).astype(np.uint8)
     interleaved = np.ascontiguousarray(bytes8.transpose(1, 2, 0))
     header = f"P6{LINE}{img.width} {img.height}{LINE}255{LINE}".encode("ascii")
     Path(path).write_bytes(header + interleaved.tobytes())

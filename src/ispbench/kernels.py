@@ -17,6 +17,13 @@ control points and every addition updates the whole chunk at once, which
 keeps each pixel's sum in the order above without materializing a
 (pixels, points) block.
 
+The 3x3 median is Paeth's 19-exchange network (Devillard's opt_med9) in two
+parts: ``_sort3`` sorts each row's horizontal triple in 6 ufunc calls, and
+``_median_of_sorted`` takes med3(max of the lows, med3 of the mids, min of the
+highs) over three sorted rows in 12, which is the median of the nine. Every
+exchange is ``(fmin(x_i, x_j), maximum(x_i, x_j))``, so a NaN goes to the high
+side. ``denoise`` and the wall-clock dataflow worker both call these two.
+
 The median is one element of its window, never an arithmetic result, and
 NaN ranks above +inf as in ``np.sort``. Equal values are interchangeable
 except for zeros: when a window holds both +0.0 and -0.0 and the median is
@@ -41,7 +48,7 @@ import time
 
 import numpy as np
 
-from .images import PlanarImage, RawBayerImage
+from .images import PlanarImage, RawBayerImage, _quantize, tone_index  # noqa: F401 (re-export)
 from .params import GamutParams, PipelineParams, ToneLUT, TransformMatrix
 
 # gamut working set: a chunk of CHUNK_PIXELS pixels meets BLOCK_SLOTS // chunk
@@ -60,18 +67,6 @@ BLOCK_SLOTS = 65536
 # 22.6 / 22.7 ms at 8k / 12k / 16k / 24k pixels and at 256x192 3.00 / 2.87 /
 # 3.24 / 3.53 ms (medians of 21)
 STRIP_PIXELS = 12288
-
-# Paeth's 19 compare-exchanges for the median of nine (Devillard's opt_med9):
-# (i, j) leaves the smaller value in slot i and the larger in slot j; "lo" and
-# "hi" mark exchanges of which only that side is read again
-MEDIAN9_NETWORK = (
-    (1, 2, "both"), (4, 5, "both"), (7, 8, "both"),
-    (0, 1, "both"), (3, 4, "both"), (6, 7, "both"),
-    (1, 2, "both"), (4, 5, "both"), (7, 8, "both"),
-    (0, 3, "hi"), (5, 8, "lo"), (4, 7, "both"),
-    (3, 6, "hi"), (1, 4, "hi"), (2, 5, "lo"),
-    (4, 7, "lo"), (4, 2, "both"), (6, 4, "hi"), (4, 2, "lo"),
-)
 
 F32 = np.float32
 
@@ -159,72 +154,51 @@ def demosaic(raw: RawBayerImage) -> PlanarImage:
     return PlanarImage(width=w, height=h, planes=out)
 
 
-def _network_steps(network, inputs: int):
-    """Compile compare-exchanges into ``(ufunc, a, b, dest)`` steps over registers.
+def _sort3(a, b, c, lo, mid, hi, t):
+    """Sort ``a, b, c`` elementwise into ``lo <= mid <= hi``; ``t`` is scratch.
 
-    Slot ``k`` starts in register ``k``, an input that is never written. Each
-    result goes to a scratch register (``inputs`` and up) that no slot still
-    reads, so a step may overwrite one of its own operands; the side that an
-    exchange marks as not read again frees its register. Returns the steps,
-    the register count and each slot's final register.
+    Exchanges (1, 2), (0, 1), (1, 2) of opt_med9 on one row's triple. Inputs
+    are not written.
     """
-    where, free, steps, count = list(range(inputs)), [], [], inputs
-
-    def take():
-        nonlocal count
-        if free:
-            return free.pop()
-        count += 1
-        return count - 1
-
-    for i, j, keep in network:
-        a, b = where[i], where[j]
-        lo = take() if keep == "both" else None  # fmin must not overwrite what maximum reads
-        free.extend(r for r in (a, b) if r >= inputs)
-        if keep != "hi":
-            where[i] = lo if lo is not None else take()
-            steps.append((np.fmin, a, b, where[i]))
-        if keep != "lo":
-            where[j] = take()
-            steps.append((np.maximum, a, b, where[j]))
-    return tuple(steps), count, where
+    np.fmin(b, c, out=mid)
+    np.maximum(b, c, out=hi)
+    np.fmin(a, mid, out=lo)
+    np.maximum(a, mid, out=t)
+    np.fmin(t, hi, out=mid)
+    np.maximum(t, hi, out=hi)
 
 
-def _run_network(steps, registers: list) -> list:
-    """Run compiled steps; a register holding None gets a new array from its first step."""
-    for f, a, b, dest in steps:
-        registers[dest] = f(registers[a], registers[b], out=registers[dest])
-    return registers
+def _median_of_sorted(top, middle, bottom, out, t1, t2, t3):
+    """``out`` = the median of three sorted ``(lo, mid, hi)`` rows; ``t1``-``t3`` are scratch.
 
-
-# the first 9 exchanges of MEDIAN9_NETWORK sort each window row's triple; the
-# last 10 take the median from the three sorted rows
-_ROW_SORT, _ROW_SORT_REGS, _SORTED = _network_steps(
-    [(i, j, keep) for i, j, keep in MEDIAN9_NETWORK[:9] if j < 3], 3
-)
-_MERGE, _MERGE_REGS, _MERGED = _network_steps(MEDIAN9_NETWORK[9:], 9)
-_MEDIAN9, _MEDIAN9_REGS, _MEDIAN9_OUT = _network_steps(MEDIAN9_NETWORK, 9)
-
-
-def _median3x3(rows3, w: int) -> np.ndarray:
-    """3x3 median of ``w`` columns from three edge-padded (..., w + 2) row blocks, top first.
-
-    The compare-exchange is ``(fmin(a, b), maximum(a, b))``: a NaN goes to
-    the larger side, so NaN orders last as in ``np.sort``. Inputs are not written.
+    med3(max of the lows, med3 of the mids, min of the highs): exchanges 10-19
+    of opt_med9, in their order. Inputs are not written.
     """
-    window = [r[..., dx : dx + w] for r in rows3 for dx in range(3)]
-    return _run_network(_MEDIAN9, window + [None] * (_MEDIAN9_REGS - 9))[_MEDIAN9_OUT[4]]
+    (lo0, mid0, hi0), (lo1, mid1, hi1), (lo2, mid2, hi2) = top, middle, bottom
+    np.maximum(lo0, lo1, out=t1)
+    np.fmin(hi1, hi2, out=t2)
+    np.fmin(mid1, mid2, out=t3)
+    np.maximum(mid1, mid2, out=out)
+    np.maximum(t1, lo2, out=t1)  # max of the lows
+    np.maximum(mid0, t3, out=t3)
+    np.fmin(hi0, t2, out=t2)  # min of the highs
+    np.fmin(t3, out, out=t3)  # med3 of the mids
+    np.fmin(t3, t2, out=out)
+    np.maximum(t3, t2, out=t2)
+    np.maximum(t1, out, out=out)
+    np.fmin(out, t2, out=out)
+    return out
 
 
 def denoise(img: PlanarImage) -> PlanarImage:
     """Per-channel 3x3 median with edge replication (a selection network).
 
     Walks row strips. Each strip is edge-padded into one reused buffer and
-    processed flat, so every step is one contiguous pass: the horizontal
-    triple at each padded position is sorted once, then the rest of the
-    network runs on the sorted triples one and two padded rows down. Flat
-    positions that straddle a row or channel edge are computed and dropped.
-    The exchanges and their operands are ``_median3x3``'s.
+    processed flat, so every step is one contiguous pass: ``_sort3`` sorts
+    the horizontal triple at each padded position once, then
+    ``_median_of_sorted`` merges the sorted triples one and two padded rows
+    down. Flat positions that straddle a row or channel edge are computed and
+    dropped.
     """
     h, w = img.height, img.width
     pw = w + 2  # padded row length
@@ -232,21 +206,22 @@ def denoise(img: PlanarImage) -> PlanarImage:
     strips = _strips(h, w)
     size = 3 * (strips[0][1] + 2) * pw
     pad = np.empty(size, np.float32)
-    sort_scratch = np.empty((_ROW_SORT_REGS - 3, size), np.float32)
-    merge_scratch = np.empty((_MERGE_REGS - 9, size), np.float32)
+    # two blocks, not one of 8 rows: the larger block raised the peak RSS of a
+    # 768x512 chain by ~1 MB (glibc's mmap threshold moves with freed block sizes)
+    sort_scratch = np.empty((4, size), np.float32)
+    merge_scratch = np.empty((4, size), np.float32)
     for y0, y1 in strips:
         n = y1 - y0
         m = 3 * (n + 2) * pw
         p = pad[:m]
         _pad_rows(img.planes, y0, y1, p.reshape(3, n + 2, pw))
         k = m - 2  # positions that start a horizontal triple
-        regs = [p[dx : dx + k] for dx in range(3)] + [s[:k] for s in sort_scratch]
-        lo_mid_hi = [_run_network(_ROW_SORT, regs)[r] for r in _SORTED]
+        lo, mid, hi, t = (s[:k] for s in sort_scratch)
+        _sort3(p[:k], p[1:][:k], p[2:][:k], lo, mid, hi, t)
         k -= 2 * pw  # positions that start a 3x3 window
-        window = [s[dy * pw : dy * pw + k] for dy in range(3) for s in lo_mid_hi]
-        _run_network(_MERGE, window + [s[:k] for s in merge_scratch])
-        medians = merge_scratch[_MERGED[4] - 9, :m].reshape(3, n + 2, pw)
-        out[:, y0:y1] = medians[:, :n, :w]
+        rows = [(lo[d:][:k], mid[d:][:k], hi[d:][:k]) for d in (0, pw, 2 * pw)]
+        _median_of_sorted(*rows, *(s[:k] for s in merge_scratch))
+        out[:, y0:y1] = merge_scratch[0, :m].reshape(3, n + 2, pw)[:, :n, :w]
     return PlanarImage(width=w, height=h, planes=out)
 
 
@@ -339,27 +314,6 @@ def gamut_map(img: PlanarImage, gp: GamutParams) -> PlanarImage:
     h, w = img.height, img.width
     out = gamut_point_major(img.planes.reshape(3, h * w), gp)
     return PlanarImage(width=w, height=h, planes=out.reshape(3, h, w))
-
-
-def _quantize(values: np.ndarray, scaled: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``rows[...] = clamp(floor(values * 255 + 0.5), 0, 255)``; ``scaled`` is float32 scratch."""
-    np.multiply(values, F32(255.0), out=scaled)
-    scaled += F32(0.5)
-    np.floor(scaled, out=scaled)
-    np.fmax(scaled, F32(0.0), out=scaled)
-    np.fmin(scaled, F32(255.0), out=scaled)
-    np.copyto(rows, scaled, casting="unsafe")
-    return rows
-
-
-def tone_index(values: np.ndarray) -> np.ndarray:
-    """Quantize to the LUT row: clamp(round(v*255), 0, 255), ties away from 0.
-
-    ``floor(x + 0.5)`` rounds ties away from zero for every ``x >= 0``, and
-    any ``x < 0`` clamps to row 0 either way. NaN maps to row 0 (``fmax``
-    prefers the non-NaN operand), +inf to 255.
-    """
-    return _quantize(values, np.empty_like(values), np.empty(values.shape, np.int64))
 
 
 def _tone_map_indexed(img: PlanarImage, t: ToneLUT, rows: np.ndarray | None = None):

@@ -142,15 +142,13 @@ def rank_variants(
     height: int,
     n_points: int,
     perf: PerfModelConfig | None = None,
-    costs: dict | None = None,
 ) -> list[tuple[VariantConfig, PipelineEstimate]]:
     """Sort configs by estimated cycles; ties by resources, then input order."""
     perf = perf or PerfModelConfig()
-    costs = costs or perf.costs
     rows = []
     for idx, cfg in enumerate(cfgs):
         cfg.validate_for(stage)
-        est = estimate(derive_descriptor(stage, cfg, width, height, n_points, perf), costs)
+        est = estimate(derive_descriptor(stage, cfg, width, height, n_points, perf), perf.costs)
         rows.append((est.total_cycles, est.resource_units, idx, cfg, est))
     rows.sort(key=lambda row: row[:3])
     return [(cfg, est) for _, _, _, cfg, est in rows]

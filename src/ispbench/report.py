@@ -111,31 +111,11 @@ def _csv_cell(value) -> str:
 
 
 def _emit_csv(r: BenchReport) -> str:
+    """One line per row; each column is looked up in the row, its counters, then its report."""
     lines = [CSV_HEADER.rstrip("\n")]
     for row in r.rows:
-        counters = row.counters or {}
-        opt = row.optimization_report or {}
-        cells = [
-            row.stage,
-            row.variant,
-            row.status,
-            _csv_cell(row.max_deviation),
-            _csv_cell(row.tolerance),
-            _csv_cell(row.wall_time_mean),
-            _csv_cell(row.wall_time_min),
-            _csv_cell(row.speedup),
-            _csv_cell(counters.get("global_reads")),
-            _csv_cell(counters.get("global_writes")),
-            _csv_cell(counters.get("readonly_reads")),
-            _csv_cell(counters.get("cache_hits")),
-            _csv_cell(counters.get("cache_misses")),
-            _csv_cell(counters.get("buffer_bytes")),
-            _csv_cell(opt.get("ii")),
-            _csv_cell(opt.get("total_cycles")),
-            _csv_cell(opt.get("resource_units")),
-            _csv_cell(opt.get("fits")),
-        ]
-        lines.append(",".join(cells))
+        cells = {**(row.optimization_report or {}), **(row.counters or {}), **vars(row)}
+        lines.append(",".join(_csv_cell(cells.get(column)) for column in CSV_COLUMNS))
     return "\n".join(lines) + "\n"
 
 

@@ -44,6 +44,7 @@ right before the bias terms.
 
 from __future__ import annotations
 
+import itertools
 import re
 import time
 from dataclasses import dataclass, fields
@@ -144,25 +145,17 @@ def parse_variant(text: str) -> VariantConfig:
     )
 
 
-def valid_variant_space(stage: str, unrolls=(1, 2, 5, 6)):
-    """Every valid VariantConfig for a stage (finite unroll set for gamut)."""
+def valid_variant_space(stage: str):
+    """Every VariantConfig that ``validate_for(stage)`` accepts; gamut unrolls 1, 2, 5 or 6."""
     out = []
-    for restrict in (False, True):
-        for ivdep in (False, True):
-            for fused in (False, True) if stage != "demosaic" else (False,):
-                modes = READONLY_MODES if stage in READONLY_STAGES else ("none",)
-                for mode in modes:
-                    factors = unrolls if stage == "gamut" else (1,)
-                    for u in factors:
-                        out.append(
-                            VariantConfig(
-                                restrict_flag=restrict,
-                                ivdep_flag=ivdep,
-                                fused_rewrite=fused,
-                                readonly_mode=mode,
-                                unroll_factor=u,
-                            )
-                        )
+    bools = (False, True)
+    for knobs in itertools.product(bools, bools, bools, READONLY_MODES, (1, 2, 5, 6)):
+        cfg = VariantConfig(*knobs)
+        try:
+            cfg.validate_for(stage)
+        except VariantError:
+            continue
+        out.append(cfg)
     return out
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ispbench.cache import CacheAccessError, ConstCacheSim
+from ispbench.cache import LINE_BYTES, CacheAccessError, ConstCacheSim
 from ispbench.dataflow import StageStats
 from ispbench.images import PlanarImage, RawBayerImage
 from ispbench.params import (
@@ -217,7 +217,7 @@ def cache_access(sim: ConstCacheSim, offset: int) -> bool:
     """Touch one byte offset of ``sim``'s region; returns True on hit."""
     if not 0 <= offset < sim.region_bytes:
         raise CacheAccessError(f"offset {offset} outside registered region [0, {sim.region_bytes})")
-    line = int(offset) // sim.line_bytes
+    line = int(offset) // LINE_BYTES
     slot = line % sim.lines
     if sim.tags[slot] == line:
         sim.hits += 1

@@ -32,7 +32,7 @@ from _helpers import in_range_params, rand_params, rand_raw, simulate_chain_orac
 SHAPES = [(2, 2), (2, 4), (6, 4), (34, 18)]
 KERNELS = {
     "demosaic": "demosaic",
-    "denoise": "_median3x3",  # the wall-clock median worker's one kernel call per row
+    "denoise": "_median_of_sorted",  # the wall-clock median worker's one merge per row
     "transform": "transform",
     "gamut": "gamut_map",
     "tonemap": "tone_map",
@@ -89,19 +89,24 @@ def test_wall_output_is_byte_identical_with_non_finite_and_signed_zero_edges(h):
 
 @pytest.mark.parametrize("h", [2, 4, 18])
 def test_wall_median_computes_each_row_once_and_only_that_row(monkeypatch, h):
-    w = 8
-    original, calls = dataflow._median3x3, []
+    w, calls = 8, []
 
-    def recording(rows3, width):
-        out = original(rows3, width)
-        calls.append(out.shape)
-        return out
+    def recording(name):
+        original = getattr(dataflow, name)
 
-    monkeypatch.setattr(dataflow, "_median3x3", recording)
+        def record(*args):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(dataflow, name, record)
+
+    recording("_sort3")
+    recording("_median_of_sorted")
     raw, params = rand_raw(w, h), rand_params(4)
     result = run_pipeline_dataflow(raw, params, ChannelConfig(3), clock="wall")
     assert result.image == run_pipeline(raw, params)
-    assert calls == [(3, w)] * h
+    # one sort per padded row as it arrives, one merge per emitted row
+    assert calls.count("_sort3") == h and calls.count("_median_of_sorted") == h
 
 
 def test_a_wall_run_starts_no_thread(monkeypatch):

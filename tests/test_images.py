@@ -71,6 +71,13 @@ class TestPpm:
         save_ppm(img, path)
         assert path.read_bytes().endswith(bytes([255, 0, 77]))
 
+    @pytest.mark.filterwarnings("error")
+    def test_save_writes_defined_bytes_for_non_finite_values(self, tmp_path):
+        img = planar_from_rgb([[(np.nan, np.inf, -np.inf), (-0.0, -0.0, -0.0)]])
+        path = tmp_path / "nonfinite.ppm"
+        save_ppm(img, path)
+        assert path.read_bytes().endswith(bytes([0, 255, 0, 0, 0, 0]))
+
     @settings(max_examples=30, deadline=None)
     @given(w=st.integers(1, 5), h=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
     def test_round_trip_on_grid(self, tmp_path_factory, w, h, seed):
