@@ -1,16 +1,16 @@
 """Channel-connected pipeline execution with stall accounting.
 
 The five stages run as workers joined by bounded FIFO channels.  One channel
-item is one image row, a fresh ``(3, w)`` float32 array.  The first stage
-demosaics the whole mosaic (it needs a row window, not a stream) and feeds
-its rows to the first channel; the median stage sorts each row's horizontal
-triples once, keeps those of the last three rows, and emits the median of one
-row once the row below it arrives, through the same two functions as
-``denoise``; the remaining stages are pointwise and run their kernel on one
-row at a time.  Arithmetic is delegated to the reference kernels, so the
-output is bit-identical to the sequential pipeline in any interleaving.
-``ChannelConfig.depth`` counts pixels; a channel holds ``ceil(depth / w)``
-rows.
+item is one image row, a ``(3, w)`` float32 array that no other item shares.
+The first stage demosaics the whole mosaic (it needs a row window, not a
+stream) and feeds its rows to the first channel; the median stage sorts each
+row's horizontal triples once, keeps those of the last three rows, and emits
+the median of one row once the row below it arrives, through the same two
+functions as ``denoise``; the remaining stages are pointwise and run their
+kernel on one row at a time.  Arithmetic is delegated to the reference
+kernels, so the output is bit-identical to the sequential pipeline in any
+interleaving.  ``ChannelConfig.depth`` counts pixels; a channel holds
+``ceil(depth / w)`` rows.
 
 Two clocks are supported:
 
@@ -19,6 +19,14 @@ Two clocks are supported:
   FIFO is full.  Blocking times run from the first failed push/pop attempt
   to the successful transfer, so a stage's blocked time is wall time spent
   while other stages run, and its busy and blocked spans never overlap.
+  Two things follow from running on one thread.  The split of blocked time
+  into push and pop follows the downstream-first resume order, not the
+  stages' speeds: with one-row FIFOs each consumer empties its input before
+  its producer runs again, so a middle stage's waiting lands in
+  ``blocked_pop`` and its ``blocked_push`` reads about 0.  And at narrow
+  rows a stage's busy time is mostly the fixed cost of each NumPy call
+  (some microseconds), not arithmetic, so it scales with the calls per row
+  more than with the pixels or the points.
 * ``virtual`` -- the exact timing of the same network with one item per
   pixel and ``depth`` pixels per channel, in closed form: a max-plus scan
   over blocks of ``depth`` items that stops once the chain turns periodic.
@@ -217,7 +225,7 @@ def _run_chain(raw, stages, depth: int) -> tuple[list[StageStats], list[np.ndarr
     return stats, list(fifos[k])
 
 
-def _denoise_rows(height: int):
+def _denoise_rows(width: int, height: int):
     """Median worker: row ``y - 1`` once row ``y`` arrives, the last row at the end.
 
     Each arriving row is edge-padded and its horizontal triples sorted once
@@ -225,22 +233,41 @@ def _denoise_rows(height: int):
     A row's median merges the [prev, cur, next] triples
     (``_median_of_sorted``), with the top and bottom rows replicated, so it
     matches ``denoise`` bit for bit. Each call merges only the row it emits.
+
+    As in ``denoise``, the padded row is worked on flat, one contiguous pass
+    per step (NumPy buffers strided operands); the positions that straddle a
+    channel edge are computed and dropped, so an emitted row is the ``(3, w)``
+    view of a fresh ``(3, w + 2)`` array. The padded row, the triples and the
+    merge scratch are allocated once per run. The triples go round a ring of
+    three blocks: an arriving row overwrites the one three rows up, which no
+    later median reads.
     """
-    window: deque[np.ndarray] = deque(maxlen=3)  # trailing rows' (lo, mid, hi), each (3, 3, w)
+    pw = width + 2  # padded row length
+    k = 3 * pw - 2  # flat positions that start a horizontal triple
+    pad = np.empty((3, pw), np.float32)
+    flat = pad.reshape(-1)
+    a, b, c = flat[:k], flat[1:][:k], flat[2:]
+    ring = np.empty((3, 3, k), np.float32)  # per row: lo, mid, hi
+    scratch = np.empty((3, k), np.float32)
+    window: deque[np.ndarray] = deque(maxlen=3)  # the trailing rows' blocks of the ring
     seen = 0
+
+    def median(top, middle, bottom):
+        out = np.empty((3, pw), np.float32)
+        _median_of_sorted(top, middle, bottom, out.reshape(-1)[:k], *scratch)
+        return out[:, :width]
 
     def process(row):
         nonlocal seen
-        w = row.shape[1]
-        p = np.concatenate((row[:, :1], row, row[:, -1:]), axis=1)
-        triples, scratch = np.empty((2, 3, 3, w), np.float32)
-        _sort3(p[:, :w], p[:, 1:-1], p[:, 2:], *triples, scratch[0])
+        np.concatenate((row[:, :1], row, row[:, -1:]), axis=1, out=pad)
+        triples = ring[seen % 3]
+        _sort3(a, b, c, *triples, scratch[0])
         window.append(triples)
         seen += 1
-        emit = [(window[0], window[-2], window[-1])] if seen >= 2 else []
+        emit = [median(window[0], window[-2], window[-1])] if seen >= 2 else []
         if seen == height:
-            emit.append((window[-2], window[-1], window[-1]))
-        return [_median_of_sorted(*rows3, np.empty((3, w), np.float32), *scratch) for rows3 in emit]
+            emit.append(median(window[-2], window[-1], window[-1]))
+        return emit
 
     return process
 
@@ -274,7 +301,7 @@ def run_pipeline_dataflow(
 
     stages = [
         ("demosaic", lambda raw: list(demosaic(raw).planes.transpose(1, 0, 2))),
-        ("denoise", _denoise_rows(h)),
+        ("denoise", _denoise_rows(w, h)),
         *((stage, pointwise(kernel, field)) for stage, kernel, field in STAGES[2:]),
     ]
     t0 = time.perf_counter()

@@ -255,52 +255,64 @@ def gamut_point_major(
     then the lanes fold left to right and the bias terms follow in order.
     ``unroll=1`` is the reference order. The products are point-major,
     ``(points, C, chunk)``, so adding a point into its lane is one contiguous
-    run of ``C * chunk`` floats, not C strided rows.
+    run of ``C * chunk`` floats, not C strided rows. ``channels`` must be a
+    contiguous run of channel indices, so that weights and coefficients are
+    slices.
+
+    Besides its output it allocates one scratch block; at narrow inputs (one
+    wall-clock row) its time is mostly the fixed cost of each NumPy call, so
+    views are built once per chunk and every step writes into scratch.
     """
-    n, pts, total = gp.n, gp.ctrl_pts, flat.shape[1]
-    chans = list(channels)
-    nc = len(chans)
-    wt = gp.weights[:, chans, None]  # (n, C, 1)
-    coefs = gp.coefs[:, chans, None]  # (4, C, 1)
+    c = slice(channels[0], channels[0] + len(channels))
+    if tuple(channels) != tuple(range(3)[c]):
+        raise ValueError(f"channels must be a contiguous run of 0, 1, 2, got {channels}")
+    n, nc, total = gp.n, len(channels), flat.shape[1]
+    wt = gp.weights[:, c, None]  # (n, C, 1)
+    coefs = gp.coefs[:, c, None]  # (4, C, 1)
+    pts = gp.ctrl_pts.T[:, :, None]  # (3, n, 1)
     out = np.empty((nc, total), np.float32)
     chunk = max(1, min(CHUNK_PIXELS, total))
     block = max(1, min(n, BLOCK_SLOTS // chunk))
     # one page-aligned scratch holds dist, prod and lanes, each 1 KB past the one
-    # before; tmp is the head of prod, which is written only after the sqrt
-    sizes = (block * chunk, block * nc * chunk, unroll * nc * chunk)
+    # before; the (3, points, chunk) channel differences, consumed before the
+    # products are written, and the (3, C, chunk) bias terms, written after the
+    # last product is added, are carved from prod
+    sizes = (block * chunk, 3 * max(block, nc) * chunk, unroll * nc * chunk)
     buf = np.empty(sum(sizes) + 2 * 256 + 1024, np.float32)
     at = (-buf.ctypes.data % 4096) // 4
     dist, prod, lanes = (buf[at + sum(sizes[:j]) + 256 * j :][:m] for j, m in enumerate(sizes))
-    dist, tmp = dist.reshape(block, chunk), prod[: block * chunk].reshape(block, chunk)
-    prod, lanes = prod.reshape(block, nc, chunk), lanes.reshape(unroll, nc, chunk)
-    lanes[...] = 0  # lanes past n stay 0
+    diff = prod[: 3 * block * chunk].reshape(3, block, chunk)
+    bias = prod[: 3 * nc * chunk].reshape(3, nc, chunk)
+    dist, prod = dist.reshape(block, chunk), prod[: block * nc * chunk].reshape(block, nc, chunk)
+    lanes = lanes.reshape(unroll, nc, chunk)
+    lanes[n:] = 0  # lanes past n stay 0
     for s in range(0, total, chunk):
         e = min(s + chunk, total)
         k = e - s
-        r, g, b = flat[0, s:e], flat[1, s:e], flat[2, s:e]
+        rgb = flat[:, None, s:e]  # (3, 1, k)
+        lane = list(lanes[:, :, :k])
         for ps in range(0, n, block):
             pe = min(ps + block, n)
-            d, t, p = dist[: pe - ps, :k], tmp[: pe - ps, :k], prod[: pe - ps, :, :k]
-            np.subtract(r, pts[ps:pe, 0, None], out=d)
-            d *= d
-            for x, col in ((g, 1), (b, 2)):
-                np.subtract(x, pts[ps:pe, col, None], out=t)
-                t *= t
-                d += t
+            d, df, p = dist[: pe - ps, :k], diff[:, : pe - ps, :k], prod[: pe - ps, :, :k]
+            np.subtract(rgb, pts[:, ps:pe], out=df)
+            np.multiply(df, df, out=df)
+            dr, dg, db = df
+            np.add(dr, dg, out=d)
+            d += db
             np.sqrt(d, out=d)
             np.multiply(d[:, None], wt[ps:pe], out=p)
-            for i in range(ps, pe):
+            for i, term in enumerate(p, ps):
                 if i < unroll:
-                    lanes[i, :, :k] = p[i - ps]
+                    lane[i][...] = term
                 else:
-                    lanes[i % unroll, :, :k] += p[i - ps]
+                    lane[i % unroll] += term
         acc = out[:, s:e]
-        acc[...] = lanes[0, :, :k]
-        for j in range(1, unroll):
-            acc += lanes[j, :, :k]
+        acc[...] = lane[0]
+        for x in lane[1:]:
+            acc += x
         acc += coefs[0]
-        for row, x in enumerate((r, g, b), 1):
-            acc += coefs[row] * x
+        for x in np.multiply(coefs[1:], rgb, out=bias[:, :, :k]):
+            acc += x
     return out
 
 
@@ -331,7 +343,7 @@ def _tone_map_indexed(img: PlanarImage, t: ToneLUT, rows: np.ndarray | None = No
         k = index[:, : y1 - y0] if rows is None else rows[:, y0:y1]
         _quantize(img.planes[:, y0:y1], scaled[:, : y1 - y0], k)
         for c in range(3):
-            np.take(lut[c], k[c], out=out[c, y0:y1], mode="wrap")  # in range; no bounds buffer
+            lut[c].take(k[c], out=out[c, y0:y1], mode="wrap")  # in range; no bounds buffer
     return PlanarImage(width=w, height=h, planes=out)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from ispbench.kernels import (
     tone_index,
 )
 
-from _helpers import in_range_params, rand_params, rand_raw, simulate_chain_oracle
+from _helpers import in_range_params, rand_params, rand_planar, rand_raw, simulate_chain_oracle
 
 SHAPES = [(2, 2), (2, 4), (6, 4), (34, 18)]
 KERNELS = {
@@ -77,7 +78,7 @@ def test_wall_output_is_byte_identical_with_non_finite_and_signed_zero_edges(h):
     m[:, 0], m[:, -1] = np.resize(special[1:], h), np.resize(special[::-2], h)
     # the tone LUT hides the median's NaNs and zero signs, so check the median stage too
     rgb = demosaic(raw)
-    worker = dataflow._denoise_rows(h)
+    worker = dataflow._denoise_rows(w, h)
     rows = [out for row in rgb.planes.transpose(1, 0, 2) for out in worker(row)]
     assert np.stack(rows, axis=1).tobytes() == denoise(rgb).planes.tobytes()
     assert not np.isfinite(rgb.planes[:, [0, -1]]).all()
@@ -107,6 +108,21 @@ def test_wall_median_computes_each_row_once_and_only_that_row(monkeypatch, h):
     assert result.image == run_pipeline(raw, params)
     # one sort per padded row as it arrives, one merge per emitted row
     assert calls.count("_sort3") == h and calls.count("_median_of_sorted") == h
+
+
+def test_wall_median_worker_allocates_only_the_row_it_emits():
+    w = 2048
+    worker = dataflow._denoise_rows(w, 8)
+    rows = rand_planar(w, 4, seed=1).planes.transpose(1, 0, 2)
+    warm = [out for row in rows[:3] for out in worker(row)]  # the window is full
+    tracemalloc.start()
+    try:
+        (out,) = worker(rows[3])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(warm) == 2 and out.shape == (3, w)
+    assert peak - out.nbytes < 4 * w  # Python objects; no padded row, triples or scratch
 
 
 def test_a_wall_run_starts_no_thread(monkeypatch):

@@ -177,6 +177,46 @@ def test_cheap_kernels_allocate_under_half_their_output_besides_it(kernel):
     assert peak - out.planes.nbytes < out.planes.nbytes / 2
 
 
+@pytest.mark.parametrize("channels, unroll", [((0, 1, 2), 1), ((1,), 6)])
+def test_gamut_point_major_allocates_only_its_output_and_one_scratch_block(
+    monkeypatch, channels, unroll
+):
+    # with NumPy's ufunc buffers cut to 16 elements, what a call allocates
+    # besides its two np.empty blocks is Python objects, the same at any row
+    # width: no per-point or per-bias temporaries
+    gp, real_empty, blocks, excess = rand_params(16, seed=1).gamut, np.empty, [], {}
+
+    def empty(*args, **kwargs):
+        blocks.append(real_empty(*args, **kwargs))
+        return blocks[-1]
+
+    bufsize = np.getbufsize()
+    for w in (128, 2048):
+        flat = rand_planar(w, 1, seed=w).planes.reshape(3, w)
+        kernels.gamut_point_major(flat, gp, channels, unroll)
+        blocks.clear()
+        monkeypatch.setattr(np, "empty", empty)
+        np.setbufsize(16)
+        tracemalloc.start()
+        try:
+            kernels.gamut_point_major(flat, gp, channels, unroll)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            np.setbufsize(bufsize)
+            monkeypatch.undo()
+        assert len(blocks) == 2  # the output and the scratch
+        excess[w] = peak - sum(b.nbytes for b in blocks)
+    assert abs(excess[2048] - excess[128]) < 512, excess
+
+
+@pytest.mark.parametrize("channels", [(0, 2), (2, 1), (1, 1), (3,), (-1,)])
+def test_gamut_point_major_rejects_channels_that_are_not_a_contiguous_run(channels):
+    flat = rand_planar(4, 1).planes.reshape(3, 4)
+    with pytest.raises(ValueError, match="contiguous"):
+        kernels.gamut_point_major(flat, rand_params(3).gamut, channels)
+
+
 @pytest.mark.parametrize("w,h", [(1, 1), (2, 2), (7, 5), (34, 18)])
 def test_denoise_orders_nan_last_like_sort(w, h):
     rng = np.random.default_rng(w * h)
