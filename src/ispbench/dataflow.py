@@ -1,16 +1,16 @@
 """Channel-connected pipeline execution with stall accounting.
 
 The five stages run as workers joined by bounded FIFO channels.  One channel
-item is one image row, a ``(3, w)`` float32 array that no other item shares.
-The first stage demosaics the whole mosaic (it needs a row window, not a
-stream) and feeds its rows to the first channel; the median stage sorts each
+item is one image row that no other item shares.  The first stage demosaics
+the whole mosaic (it needs a row window, not a stream) and feeds its rows,
+``(3, w)`` float32 arrays, to the first channel; the median stage sorts each
 row's horizontal triples once, keeps those of the last three rows, and emits
 the median of one row once the row below it arrives, through the same two
-functions as ``denoise``; the remaining stages are pointwise and run their
-kernel on one row at a time.  Arithmetic is delegated to the reference
-kernels, so the output is bit-identical to the sequential pipeline in any
-interleaving.  ``ChannelConfig.depth`` counts pixels; a channel holds
-``ceil(depth / w)`` rows.
+functions as ``denoise``, as a one-row ``PlanarImage``; the remaining stages
+are pointwise and pass their kernel's one-row output image on.  Arithmetic
+is delegated to the reference kernels, so the output is bit-identical to the
+sequential pipeline in any interleaving.  ``ChannelConfig.depth`` counts
+pixels; a channel holds ``ceil(depth / w)`` rows.
 
 Two clocks are supported:
 
@@ -169,15 +169,15 @@ def stage_cost_units(n_points: int) -> dict[str, float]:
 # Wall clock: one coroutine per stage on the calling thread, bounded FIFOs
 # ---------------------------------------------------------------------------
 
-def _run_chain(raw, stages, depth: int) -> tuple[list[StageStats], list[np.ndarray]]:
+def _run_chain(raw, stages, depth: int, width: int) -> tuple[list[StageStats], list]:
     """Run ``stages`` as generators on this thread, joined by FIFOs of ``depth`` rows.
 
     ``stages`` is a list of ``(name, fn)``: the first ``fn`` maps ``raw`` to
-    its rows, every later one maps one upstream row to a list of rows.  A
-    stage yields while its input FIFO is empty or its output FIFO is full,
-    and a plain loop resumes the live stages downstream-first until all
-    finish.  The last stage's rows are returned.  A fault in any stage ends
-    the run with ``StageFault``.
+    its rows, every later one maps one upstream row to a list of rows; a row
+    is ``width`` pixels.  A stage yields while its input FIFO is empty or
+    its output FIFO is full, and a plain loop resumes the live stages
+    downstream-first until all finish.  The last stage's rows are returned.
+    A fault in any stage ends the run with ``StageFault``.
     """
     k = len(stages)
     fifos = [deque([raw]), *(deque() for _ in range(k))]  # stage i pops fifos[i]; the last is the sink
@@ -208,7 +208,7 @@ def _run_chain(raw, stages, depth: int) -> tuple[list[StageStats], list[np.ndarr
                             yield
                         st.blocked_push_time += time.perf_counter() - t0
                     dst.append(row)
-                    st.items_processed += row.shape[1]  # pixels, as on the virtual clock
+                    st.items_processed += width  # pixels, as on the virtual clock
         finally:
             closed[i + 1] = True
             st.wall_time = time.perf_counter() - t_start
@@ -236,26 +236,27 @@ def _denoise_rows(width: int, height: int):
 
     As in ``denoise``, the padded row is worked on flat, one contiguous pass
     per step (NumPy buffers strided operands); the positions that straddle a
-    channel edge are computed and dropped, so an emitted row is the ``(3, w)``
-    view of a fresh ``(3, w + 2)`` array. The padded row, the triples and the
-    merge scratch are allocated once per run. The triples go round a ring of
-    three blocks: an arriving row overwrites the one three rows up, which no
-    later median reads.
+    channel edge are computed and dropped, so an emitted row's planes are a
+    ``(3, 1, w)`` view of a fresh ``(3, w + 2)`` array. The padded row, the
+    triples and the merge scratch are allocated once per run. The triples go
+    round a ring of three blocks: an arriving row overwrites the one three
+    rows up, which no later median reads.
     """
     pw = width + 2  # padded row length
     k = 3 * pw - 2  # flat positions that start a horizontal triple
     pad = np.empty((3, pw), np.float32)
     flat = pad.reshape(-1)
     a, b, c = flat[:k], flat[1:][:k], flat[2:]
-    ring = np.empty((3, 3, k), np.float32)  # per row: lo, mid, hi
-    scratch = np.empty((3, k), np.float32)
-    window: deque[np.ndarray] = deque(maxlen=3)  # the trailing rows' blocks of the ring
+    # views built once: a view costs about as much as a ufunc call on one row
+    ring = [tuple(block) for block in np.empty((3, 3, k), np.float32)]  # per row: lo, mid, hi
+    scratch = tuple(np.empty((3, k), np.float32))
+    window: deque[tuple] = deque(maxlen=3)  # the trailing rows' blocks of the ring
     seen = 0
 
     def median(top, middle, bottom):
         out = np.empty((3, pw), np.float32)
         _median_of_sorted(top, middle, bottom, out.reshape(-1)[:k], *scratch)
-        return out[:, :width]
+        return PlanarImage(width, 1, out[:, None, :width])
 
     def process(row):
         nonlocal seen
@@ -297,7 +298,7 @@ def run_pipeline_dataflow(
     def pointwise(kernel, field):
         # looked up at call time, so a patched module attribute takes effect
         arg = getattr(params, field)
-        return lambda row: [globals()[kernel](PlanarImage(w, 1, row[:, None]), arg).planes[:, 0]]
+        return lambda row: [globals()[kernel](row, arg)]
 
     stages = [
         ("demosaic", lambda raw: list(demosaic(raw).planes.transpose(1, 0, 2))),
@@ -305,12 +306,13 @@ def run_pipeline_dataflow(
         *((stage, pointwise(kernel, field)) for stage, kernel, field in STAGES[2:]),
     ]
     t0 = time.perf_counter()
-    stats, rows = _run_chain(raw, stages, -(-ch.depth // w))  # ceil(depth / w) rows
+    stats, rows = _run_chain(raw, stages, -(-ch.depth // w), w)  # ceil(depth / w) rows
     makespan = time.perf_counter() - t0
 
     if len(rows) != h:
         raise RuntimeError(f"sink collected {len(rows)} of {h} rows")
-    image = PlanarImage(width=w, height=h, planes=np.stack(rows, axis=1))
+    planes = np.concatenate([row.planes for row in rows], axis=1)
+    image = PlanarImage(width=w, height=h, planes=planes)
     return DataflowResult(
         image=image, stats={s.name: s for s in stats}, makespan=makespan, clock="wall"
     )

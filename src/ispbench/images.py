@@ -41,7 +41,7 @@ def _quantize(values: np.ndarray, scaled: np.ndarray, rows: np.ndarray) -> np.nd
     np.floor(scaled, out=scaled)
     np.fmax(scaled, np.float32(0.0), out=scaled)
     np.fmin(scaled, np.float32(255.0), out=scaled)
-    np.copyto(rows, scaled, casting="unsafe")
+    rows[...] = scaled  # an assignment casts unsafely: truncates, and scaled is integral
     return rows
 
 

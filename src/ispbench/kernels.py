@@ -228,20 +228,19 @@ def denoise(img: PlanarImage) -> PlanarImage:
 def transform(img: PlanarImage, m: TransformMatrix) -> PlanarImage:
     """out = m . [r, g, b]^T per pixel, as ``(m0*r + m1*g) + m2*b``; no clamping.
 
-    Walks row strips; each product broadcasts one matrix column over all
-    three output channels of the strip.
+    Walks row strips; one broadcast multiply forms all nine products of a
+    strip, input channel major, then two adds sum them.
     """
     h, w = img.height, img.width
-    columns = m.m.T[:, :, None, None]  # column k as a (3, 1, 1) channel vector
+    columns = m.m.T[:, :, None, None]  # (input k, output c, 1, 1)
     out = np.empty_like(img.planes)
     strips = _strips(h, w)
-    scratch = np.empty((3, strips[0][1], w), np.float32)
+    scratch = np.empty((3, 3, strips[0][1], w), np.float32)
     for y0, y1 in strips:
-        r, g, b = img.planes[:, y0:y1]
-        acc, t = out[:, y0:y1], scratch[:, : y1 - y0]
-        np.multiply(columns[0], r, out=acc)
-        acc += np.multiply(columns[1], g, out=t)
-        acc += np.multiply(columns[2], b, out=t)
+        p, acc = scratch[:, :, : y1 - y0], out[:, y0:y1]
+        np.multiply(columns, img.planes[:, None, y0:y1], out=p)
+        np.add(p[0], p[1], out=acc)
+        acc += p[2]
     return PlanarImage(width=w, height=h, planes=out)
 
 
@@ -277,14 +276,15 @@ def gamut_point_major(
     # before; the (3, points, chunk) channel differences, consumed before the
     # products are written, and the (3, C, chunk) bias terms, written after the
     # last product is added, are carved from prod
-    sizes = (block * chunk, 3 * max(block, nc) * chunk, unroll * nc * chunk)
-    buf = np.empty(sum(sizes) + 2 * 256 + 1024, np.float32)
-    at = (-buf.ctypes.data % 4096) // 4
-    dist, prod, lanes = (buf[at + sum(sizes[:j]) + 256 * j :][:m] for j, m in enumerate(sizes))
-    diff = prod[: 3 * block * chunk].reshape(3, block, chunk)
-    bias = prod[: 3 * nc * chunk].reshape(3, nc, chunk)
-    dist, prod = dist.reshape(block, chunk), prod[: block * nc * chunk].reshape(block, nc, chunk)
-    lanes = lanes.reshape(unroll, nc, chunk)
+    p0 = block * chunk + 256  # prod's offset in the scratch
+    l0 = p0 + 3 * max(block, nc) * chunk + 256  # the lanes' offset
+    buf = np.empty(l0 + unroll * nc * chunk + 1024, np.float32)
+    buf = buf[(-buf.ctypes.data % 4096) // 4 :]
+    dist = buf[: block * chunk].reshape(block, chunk)
+    diff = buf[p0 : p0 + 3 * block * chunk].reshape(3, block, chunk)
+    prod = buf[p0 : p0 + block * nc * chunk].reshape(block, nc, chunk)
+    bias = buf[p0 : p0 + 3 * nc * chunk].reshape(3, nc, chunk)
+    lanes = buf[l0 : l0 + unroll * nc * chunk].reshape(unroll, nc, chunk)
     lanes[n:] = 0  # lanes past n stay 0
     for s in range(0, total, chunk):
         e = min(s + chunk, total)
@@ -335,7 +335,7 @@ def _tone_map_indexed(img: PlanarImage, t: ToneLUT, rows: np.ndarray | None = No
     """
     h, w = img.height, img.width
     out = np.empty_like(img.planes)
-    lut = np.ascontiguousarray(t.lut.T)  # (3, 256): one contiguous row per channel
+    lut = t.lut.T  # (3, 256): ToneLUT stores one contiguous row per channel
     strips = _strips(h, w)
     scaled = np.empty((3, strips[0][1], w), np.float32)
     index = np.empty((3, strips[0][1], w), np.int64) if rows is None else None

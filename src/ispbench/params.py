@@ -106,12 +106,17 @@ class GamutParams:
 
 @dataclass(frozen=True)
 class ToneLUT:
-    """256x3 lookup table; row = quantized input level, column = channel."""
+    """256x3 lookup table; row = quantized input level, column = channel.
+
+    Stored channel-major (Fortran order), so ``lut.T`` gives each channel's
+    256 levels as one contiguous row without a copy.
+    """
 
     lut: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "lut", _as_f32(self.lut, (TONE_LEVELS, 3), "tone lut"))
+        lut = _as_f32(self.lut, (TONE_LEVELS, 3), "tone lut")
+        object.__setattr__(self, "lut", np.asfortranarray(lut))
 
     def __eq__(self, other):
         if not isinstance(other, ToneLUT):

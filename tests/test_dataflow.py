@@ -79,8 +79,8 @@ def test_wall_output_is_byte_identical_with_non_finite_and_signed_zero_edges(h):
     # the tone LUT hides the median's NaNs and zero signs, so check the median stage too
     rgb = demosaic(raw)
     worker = dataflow._denoise_rows(w, h)
-    rows = [out for row in rgb.planes.transpose(1, 0, 2) for out in worker(row)]
-    assert np.stack(rows, axis=1).tobytes() == denoise(rgb).planes.tobytes()
+    rows = [out.planes for row in rgb.planes.transpose(1, 0, 2) for out in worker(row)]
+    assert np.concatenate(rows, axis=1).tobytes() == denoise(rgb).planes.tobytes()
     assert not np.isfinite(rgb.planes[:, [0, -1]]).all()
     ref = run_pipeline(raw, params).planes.tobytes()
     for depth in (1, w * h + 1):
@@ -121,8 +121,8 @@ def test_wall_median_worker_allocates_only_the_row_it_emits():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(warm) == 2 and out.shape == (3, w)
-    assert peak - out.nbytes < 4 * w  # Python objects; no padded row, triples or scratch
+    assert len(warm) == 2 and out.planes.shape == (3, 1, w)
+    assert peak - out.planes.nbytes < 4 * w  # Python objects; no padded row, triples or scratch
 
 
 def test_a_wall_run_starts_no_thread(monkeypatch):

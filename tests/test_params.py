@@ -13,7 +13,13 @@ import pytest
 
 import ispbench
 from ispbench import cli
-from ispbench.params import ParamsError, PerfModelConfig, load_params_file, save_params_file
+from ispbench.params import (
+    ParamsError,
+    PerfModelConfig,
+    ToneLUT,
+    load_params_file,
+    save_params_file,
+)
 
 from _helpers import rand_params
 
@@ -51,6 +57,13 @@ def test_known_costs_override_defaults(tmp_path):
     assert params.gamut.n == 4
     assert perf.costs == {"base_cost": 50.0, "datapath_cost": 4.0, "ram_cost": 1.0,
                           "capacity": 100000.0}
+
+
+def test_tone_lut_keeps_each_channel_contiguous():
+    # the tone map reads lut.T[c] per channel; a C-ordered table would copy it
+    levels = np.arange(768, dtype=np.float32).reshape(256, 3)
+    t = ToneLUT(levels)
+    assert t.lut.T.flags.c_contiguous and np.array_equal(t.lut, levels)
 
 
 def test_save_then_load_is_bit_identical(tmp_path):
