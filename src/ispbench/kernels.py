@@ -228,19 +228,20 @@ def denoise(img: PlanarImage) -> PlanarImage:
 def transform(img: PlanarImage, m: TransformMatrix) -> PlanarImage:
     """out = m . [r, g, b]^T per pixel, as ``(m0*r + m1*g) + m2*b``; no clamping.
 
-    Walks row strips; one broadcast multiply forms all nine products of a
-    strip, input channel major, then two adds sum them.
+    Walks row strips; each product broadcasts one matrix column over all
+    three output channels of the strip.
     """
     h, w = img.height, img.width
-    columns = m.m.T[:, :, None, None]  # (input k, output c, 1, 1)
+    columns = m.m.T[:, :, None, None]  # column k as a (3, 1, 1) channel vector
     out = np.empty_like(img.planes)
     strips = _strips(h, w)
-    scratch = np.empty((3, 3, strips[0][1], w), np.float32)
+    scratch = np.empty((3, strips[0][1], w), np.float32)
     for y0, y1 in strips:
-        p, acc = scratch[:, :, : y1 - y0], out[:, y0:y1]
-        np.multiply(columns, img.planes[:, None, y0:y1], out=p)
-        np.add(p[0], p[1], out=acc)
-        acc += p[2]
+        r, g, b = img.planes[:, y0:y1]
+        acc, t = out[:, y0:y1], scratch[:, : y1 - y0]
+        np.multiply(columns[0], r, out=acc)
+        acc += np.multiply(columns[1], g, out=t)
+        acc += np.multiply(columns[2], b, out=t)
     return PlanarImage(width=w, height=h, planes=out)
 
 
