@@ -12,10 +12,15 @@ against, so the per-element float32 operation order is part of the contract:
 * the gamut bias terms are added in the order constant, r-term, g-term,
   b-term.
 
-Gamut runs point-major: for each chunk of pixels the outer loop walks the
-control points and every addition updates the whole chunk at once, which
-keeps each pixel's sum in the order above without materializing a
-(pixels, points) block.
+Gamut is one compiled C loop (``_gamut.c``, called through ``ctypes``), so
+ispbench needs a C compiler (``cc``). It is built on first import into the
+package's ``__pycache__``, under a name keyed by the source, the flags and
+the host CPU's flags, and loaded from there afterwards without starting a
+process; a missing or failing compiler is an ``ImportError`` that names the
+command. The loop walks blocks of 64 pixels outside and the control points
+inside, so a block's sums stay in registers, and it keeps the float32 order
+above: built with ``-ffp-contract=off`` and without ``-ffast-math``, no
+multiply is fused into its add and subnormals are kept.
 
 The 3x3 median is Paeth's 19-exchange network (Devillard's opt_med9) in two
 parts: ``_sort3`` sorts each row's horizontal triple in 6 ufunc calls, and
@@ -44,21 +49,60 @@ the tone-map index is clamped).
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
+import os
 import time
+from pathlib import Path
 
 import numpy as np
 
 from .images import PlanarImage, RawBayerImage, _quantize, tone_index  # noqa: F401 (re-export)
 from .params import GamutParams, PipelineParams, ToneLUT, TransformMatrix
 
-# gamut working set: a chunk of CHUNK_PIXELS pixels meets BLOCK_SLOTS // chunk
-# control points at a time; the (points, chunk) distances, the point-major
-# (points, C, chunk) products and the unroll lanes share one page-aligned
-# scratch of about 1.2 MB that stays in a per-core L2. On a 2 MB-L2 Xeon a grid
-# of 4k-16k pixels x 32k-128k slots found no setting better than 16k / 64k at
-# all four benchmark shapes (32k slots: frame -3 %, sweep's per-channel rows +12 %)
-CHUNK_PIXELS = 16384
-BLOCK_SLOTS = 65536
+CFLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC")
+
+
+def _build(source: Path, target: Path, cc: str = "cc") -> None:
+    """Compile ``source`` into the shared library ``target``.
+
+    The compiler writes a name of its own, which is then renamed onto
+    ``target``, so a process that finds ``target`` finds it whole.
+    """
+    import subprocess
+
+    tmp = target.with_name(f"{target.name}.{os.getpid()}.tmp")
+    cmd = [cc, *CFLAGS, "-o", str(tmp), str(source)]
+    try:
+        subprocess.run(cmd, check=True, capture_output=True, text=True)
+    except (OSError, subprocess.CalledProcessError) as exc:
+        tmp.unlink(missing_ok=True)
+        detail = getattr(exc, "stderr", None) or exc
+        raise ImportError(f"ispbench needs a C compiler; `{' '.join(cmd)}` failed: {detail}") from exc
+    os.replace(tmp, target)
+
+
+def _load_gamut():
+    """The compiled gamut loop, from ``__pycache__``; built there if missing."""
+    source = Path(__file__).with_name("_gamut.c")
+    try:
+        with open("/proc/cpuinfo", "rb") as f:
+            cpu = next((line for line in f if line.startswith(b"flags")), b"")
+    except OSError:
+        cpu = b""
+    key = hashlib.sha256(b"\0".join([source.read_bytes(), " ".join(CFLAGS).encode(), cpu]))
+    target = source.parent / "__pycache__" / f"_gamut-{key.hexdigest()[:16]}.so"
+    if not target.exists():
+        target.parent.mkdir(exist_ok=True)
+        _build(source, target)
+    fn = ctypes.CDLL(str(target)).gamut
+    ptr, num = ctypes.c_void_p, ctypes.c_long
+    fn.argtypes = [ptr, num, num, num, ptr, ptr, ptr, num, num, num, num, ptr]
+    fn.restype = None
+    return fn
+
+
+_gamut = _load_gamut()
 
 # row strips: demosaic, denoise, transform and the tone map walk strips of
 # max(1, STRIP_PIXELS // w) rows and reuse per-call scratch the size of one
@@ -253,76 +297,31 @@ def gamut_point_major(
     Point ``i`` goes to lane ``i % unroll``; each lane starts from its first
     term and adds the rest left to right (a lane with no points is zero),
     then the lanes fold left to right and the bias terms follow in order.
-    ``unroll=1`` is the reference order. The products are point-major,
-    ``(points, C, chunk)``, so adding a point into its lane is one contiguous
-    run of ``C * chunk`` floats, not C strided rows. ``channels`` must be a
-    contiguous run of channel indices, so that weights and coefficients are
-    slices.
-
-    Besides its output it allocates one scratch block; at narrow inputs (one
-    wall-clock row) its time is mostly the fixed cost of each NumPy call, so
-    views are built once per chunk and every step writes into scratch.
+    ``unroll=1`` is the reference order. ``channels`` must be a contiguous
+    run of channel indices. One call of the compiled loop; besides its
+    output it allocates nothing.
     """
-    c = slice(channels[0], channels[0] + len(channels))
-    if tuple(channels) != tuple(range(3)[c]):
+    c0, nc = channels[0], len(channels)
+    if tuple(channels) != tuple(range(3)[c0 : c0 + nc]):
         raise ValueError(f"channels must be a contiguous run of 0, 1, 2, got {channels}")
-    n, nc, total = gp.n, len(channels), flat.shape[1]
-    wt = gp.weights[:, c, None]  # (n, C, 1)
-    coefs = gp.coefs[:, c, None]  # (4, C, 1)
-    pts = gp.ctrl_pts.T[:, :, None]  # (3, n, 1)
-    out = np.empty((nc, total), np.float32)
-    chunk = max(1, min(CHUNK_PIXELS, total))
-    block = max(1, min(n, BLOCK_SLOTS // chunk))
-    # one page-aligned scratch holds dist, prod and lanes, each 1 KB past the one
-    # before; the (3, points, chunk) channel differences, consumed before the
-    # products are written, and the (3, C, chunk) bias terms, written after the
-    # last product is added, are carved from prod
-    p0 = block * chunk + 256  # prod's offset in the scratch
-    l0 = p0 + 3 * max(block, nc) * chunk + 256  # the lanes' offset
-    buf = np.empty(l0 + unroll * nc * chunk + 1024, np.float32)
-    buf = buf[(-buf.ctypes.data % 4096) // 4 :]
-    dist = buf[: block * chunk].reshape(block, chunk)
-    diff = buf[p0 : p0 + 3 * block * chunk].reshape(3, block, chunk)
-    prod = buf[p0 : p0 + block * nc * chunk].reshape(block, nc, chunk)
-    bias = buf[p0 : p0 + 3 * nc * chunk].reshape(3, nc, chunk)
-    lanes = buf[l0 : l0 + unroll * nc * chunk].reshape(unroll, nc, chunk)
-    lanes[n:] = 0  # lanes past n stay 0
-    for s in range(0, total, chunk):
-        e = min(s + chunk, total)
-        k = e - s
-        rgb = flat[:, None, s:e]  # (3, 1, k)
-        lane = list(lanes[:, :, :k])
-        for ps in range(0, n, block):
-            pe = min(ps + block, n)
-            d, df, p = dist[: pe - ps, :k], diff[:, : pe - ps, :k], prod[: pe - ps, :, :k]
-            np.subtract(rgb, pts[:, ps:pe], out=df)
-            np.multiply(df, df, out=df)
-            dr, dg, db = df
-            np.add(dr, dg, out=d)
-            d += db
-            np.sqrt(d, out=d)
-            np.multiply(d[:, None], wt[ps:pe], out=p)
-            for i, term in enumerate(p, ps):
-                if i < unroll:
-                    lane[i][...] = term
-                else:
-                    lane[i % unroll] += term
-        acc = out[:, s:e]
-        acc[...] = lane[0]
-        for x in lane[1:]:
-            acc += x
-        acc += coefs[0]
-        for x in np.multiply(coefs[1:], rgb, out=bias[:, :, :k]):
-            acc += x
+    flat = np.asarray(flat, np.float32)
+    if flat.ndim != 2 or len(flat) != 3 or unroll < 1:
+        raise ValueError(f"need (3, pixels) planes and unroll >= 1, got {flat.shape}, {unroll}")
+    out = np.empty((nc, flat.shape[1]), np.float32)
+    chan_stride, pix_stride = (s // 4 for s in flat.strides)
+    _gamut(
+        flat.ctypes.data, chan_stride, pix_stride, flat.shape[1],
+        gp.ctrl_pts.ctypes.data, gp.weights.ctypes.data, gp.coefs.ctypes.data,
+        c0, nc, gp.n, unroll, out.ctypes.data,
+    )
     return out
 
 
 def gamut_map(img: PlanarImage, gp: GamutParams) -> PlanarImage:
     """Weighted sum of distances to the control points, plus an affine bias.
 
-    Point-major: each control point's weighted distance is added to every
-    pixel of a chunk in turn, so each pixel's float32 sum runs strictly left
-    to right and equals a scalar loop over points bit for bit.
+    Each pixel's float32 sum runs strictly left to right over the points and
+    equals a scalar loop over them bit for bit.
     """
     h, w = img.height, img.width
     out = gamut_point_major(img.planes.reshape(3, h * w), gp)

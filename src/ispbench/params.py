@@ -86,9 +86,10 @@ class GamutParams:
         n = np.asarray(self.ctrl_pts).shape[0] if np.asarray(self.ctrl_pts).ndim == 2 else 0
         if n < 1:
             raise ParamsError("gamut needs at least one control point")
-        object.__setattr__(self, "ctrl_pts", _as_f32(self.ctrl_pts, (n, 3), "ctrl_pts"))
-        object.__setattr__(self, "weights", _as_f32(self.weights, (n, 3), "weights"))
-        object.__setattr__(self, "coefs", _as_f32(self.coefs, (4, 3), "coefs"))
+        # row-major, as the compiled gamut loop reads them
+        for name, shape in (("ctrl_pts", (n, 3)), ("weights", (n, 3)), ("coefs", (4, 3))):
+            arr = np.ascontiguousarray(_as_f32(getattr(self, name), shape, name))
+            object.__setattr__(self, name, arr)
 
     @property
     def n(self) -> int:

@@ -18,7 +18,7 @@ A variant run has three parts:
 
 1. the reference kernel.  Demosaic, denoise, transform and tone map run
    ``kernels.reference_stage`` whatever the config; gamut runs the
-   reference point-major loop (``kernels.gamut_point_major``) with
+   compiled reference loop (``kernels.gamut_point_major``) with
    ``unroll_factor`` lanes, once per channel when channel-sequential, so
    that variant recomputes the distances for every channel;
 2. ``traffic``: the counters of the variant's nominal single-work-item

@@ -6,8 +6,12 @@ loops in float32, independent of the vectorized implementations they check.
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import numpy as np
 
+from ispbench import kernels
 from ispbench.cache import LINE_BYTES, CacheAccessError, ConstCacheSim
 from ispbench.dataflow import StageStats
 from ispbench.images import PlanarImage, RawBayerImage
@@ -21,6 +25,10 @@ from ispbench.params import (
 )
 
 F = np.float32
+
+# pixels per block of the compiled gamut loop, read from its source
+GAMUT_SOURCE = Path(kernels.__file__).with_name("_gamut.c")
+GAMUT_BLOCK = int(re.search(r"#define BLOCK (\d+)", GAMUT_SOURCE.read_text())[1])
 
 
 def rand_planar(width=8, height=6, seed=0, lo=0.0, hi=1.0) -> PlanarImage:

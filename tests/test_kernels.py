@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
+import os
+import shutil
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,9 +17,11 @@ from hypothesis import strategies as st
 
 from ispbench import kernels
 from ispbench.images import PlanarImage
-from ispbench.params import GamutParams, ToneLUT
+from ispbench.params import GamutParams, ToneLUT, random_gamut
 
 from _helpers import (
+    GAMUT_BLOCK,
+    GAMUT_SOURCE,
     demosaic_oracle,
     denoise_oracle,
     gamut_oracle,
@@ -178,12 +186,10 @@ def test_cheap_kernels_allocate_under_half_their_output_besides_it(kernel):
 
 
 @pytest.mark.parametrize("channels, unroll", [((0, 1, 2), 1), ((1,), 6)])
-def test_gamut_point_major_allocates_only_its_output_and_one_scratch_block(
-    monkeypatch, channels, unroll
-):
+def test_gamut_point_major_allocates_only_its_output(monkeypatch, channels, unroll):
     # with NumPy's ufunc buffers cut to 16 elements, what a call allocates
-    # besides its two np.empty blocks is Python objects, the same at any row
-    # width: no per-point or per-bias temporaries
+    # besides its one np.empty block is Python objects, the same at any row
+    # width: no scratch, no per-point or per-bias temporaries
     gp, real_empty, blocks, excess = rand_params(16, seed=1).gamut, np.empty, [], {}
 
     def empty(*args, **kwargs):
@@ -199,14 +205,14 @@ def test_gamut_point_major_allocates_only_its_output_and_one_scratch_block(
         np.setbufsize(16)
         tracemalloc.start()
         try:
-            kernels.gamut_point_major(flat, gp, channels, unroll)
+            out = kernels.gamut_point_major(flat, gp, channels, unroll)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
             np.setbufsize(bufsize)
             monkeypatch.undo()
-        assert len(blocks) == 2  # the output and the scratch
-        excess[w] = peak - sum(b.nbytes for b in blocks)
+        assert len(blocks) == 1 and blocks[0] is out
+        excess[w] = peak - out.nbytes
     assert abs(excess[2048] - excess[128]) < 512, excess
 
 
@@ -215,6 +221,13 @@ def test_gamut_point_major_rejects_channels_that_are_not_a_contiguous_run(channe
     flat = rand_planar(4, 1).planes.reshape(3, 4)
     with pytest.raises(ValueError, match="contiguous"):
         kernels.gamut_point_major(flat, rand_params(3).gamut, channels)
+
+
+@pytest.mark.parametrize("shape, unroll", [((3, 4), 0), ((3, 4), -1), ((2, 4), 1), ((12,), 1)])
+def test_gamut_point_major_rejects_other_shapes_and_unroll_below_one(shape, unroll):
+    # the compiled loop would read past the planes or never end
+    with pytest.raises(ValueError, match="unroll >= 1"):
+        kernels.gamut_point_major(np.zeros(shape, np.float32), rand_params(3).gamut, (0,), unroll)
 
 
 @pytest.mark.parametrize("w,h", [(1, 1), (2, 2), (7, 5), (34, 18)])
@@ -242,37 +255,40 @@ def test_gamut_matches_oracle_bit_for_bit(w, h, n):
     assert np.array_equal(bits(kernels.gamut_map(img, gp)), bits(gamut_oracle(img, gp)))
 
 
+# 1, B - 1, B, B + 1 and 2B + 1 pixels for the compiled loop's B-pixel blocks
+EDGE_PIXELS = [1, GAMUT_BLOCK - 1, GAMUT_BLOCK, GAMUT_BLOCK + 1, 2 * GAMUT_BLOCK + 1]
+
+
 @pytest.mark.parametrize("n", [3, 17])
-def test_gamut_chunk_and_point_block_edges(monkeypatch, n):
-    # 15 pixels in chunks of 4 (last chunk 3); blocks of 2 points (last block 1)
-    monkeypatch.setattr(kernels, "CHUNK_PIXELS", 4)
-    monkeypatch.setattr(kernels, "BLOCK_SLOTS", 8)
-    img = rand_planar(5, 3, seed=2)
+def test_gamut_chunk_and_point_block_edges(n):
+    # each pixel count as one row, and as a row view whose channels sit
+    # further apart than the row is long (the dataflow mode's rows)
     gp = rand_params(n, seed=5).gamut
-    assert np.array_equal(bits(kernels.gamut_map(img, gp)), bits(gamut_oracle(img, gp)))
+    for k in EDGE_PIXELS:
+        img = rand_planar(k, 1, seed=k)
+        want = bits(gamut_oracle(img, gp))
+        assert np.array_equal(bits(kernels.gamut_map(img, gp)), want), k
+        wide = np.zeros((3, k + 5), np.float32)
+        wide[:, :k] = img.planes[:, 0]
+        got = kernels.gamut_point_major(wide[:, :k], gp)
+        assert np.array_equal(got.view(np.uint32), want.reshape(3, k)), k
 
 
 @settings(max_examples=80, deadline=None)
 @given(
-    w=st.integers(1, 12),
-    h=st.integers(1, 12),
+    k=st.sampled_from(EDGE_PIXELS),
     n=st.integers(1, 40),
-    unroll=st.sampled_from([1, 2, 5, 6]),
-    channels=st.sampled_from([(0, 1, 2), (0,), (1,), (2,)]),
-    chunk=st.integers(1, 20),
-    slots=st.integers(1, 60),
+    unroll=st.sampled_from([1, 2, 5, 6, 7]),
+    channels=st.sampled_from([(0, 1, 2), (0,), (1,), (2,), (0, 1), (1, 2)]),
     seed=st.integers(0, 2**16),
 )
 def test_gamut_point_major_matches_oracle_at_any_chunk_block_and_lane_split(
-    w, h, n, unroll, channels, chunk, slots, seed
+    k, n, unroll, channels, seed
 ):
-    img = rand_planar(w, h, seed=seed, lo=-0.5, hi=1.5)
+    img = rand_planar(k, 1, seed=seed, lo=-0.5, hi=1.5)
     gp = rand_params(n, seed=seed).gamut
     want = gamut_oracle(img, gp, unroll=unroll).planes.reshape(3, -1)[list(channels)]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kernels, "CHUNK_PIXELS", chunk)
-        mp.setattr(kernels, "BLOCK_SLOTS", slots)
-        got = kernels.gamut_point_major(img.planes.reshape(3, -1), gp, channels, unroll)
+    got = kernels.gamut_point_major(img.planes.reshape(3, -1), gp, channels, unroll)
     assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
 
 
@@ -301,6 +317,143 @@ def test_gamut_keeps_a_negative_zero_first_term(n, unroll, channels):
     out = kernels.gamut_point_major(img.planes.reshape(3, 1), gp, channels, unroll)
     assert out.shape == (len(channels), 1)
     assert np.all(out == 0) and np.all(np.signbit(out) == (n >= unroll))
+
+
+def ieee_gamut(pixels: np.ndarray, weights: np.ndarray, unroll: int):
+    """The kernel's and the oracle's bits on ``pixels`` (3, k) with ``weights`` (n, 3)."""
+    n, k = len(weights), pixels.shape[1]
+    rng = np.random.default_rng(n)
+    gp = GamutParams(rng.random((n, 3)), weights, rng.random((4, 3)) + 0.5)  # no zero coef
+    img = PlanarImage(width=k, height=1, planes=pixels.reshape(3, 1, k).astype(np.float32))
+    with np.errstate(all="ignore"):
+        want = gamut_oracle(img, gp, unroll=unroll).planes.reshape(3, k)
+    got = kernels.gamut_point_major(pixels.astype(np.float32), gp, (0, 1, 2), unroll)
+    return got.view(np.uint32), want.view(np.uint32)
+
+
+TINY = np.float32(1e-40)  # subnormal
+
+
+@pytest.mark.parametrize("unroll", [1, 3])
+@pytest.mark.parametrize(
+    "special",
+    [np.nan, np.inf, -np.inf, TINY, -TINY],
+    ids=["nan", "inf", "-inf", "subnormal", "-subnormal"],
+)
+def test_gamut_bits_equal_oracle_on_non_finite_and_subnormal_pixels(special, unroll):
+    # each pixel has the special value in no, one or all channels; a NaN
+    # output has one source per pixel (the coefs are nonzero, so no 0 * inf)
+    k = 2 * GAMUT_BLOCK + 3
+    pixels = np.random.default_rng(1).random((3, k)).astype(np.float32)
+    pixels[0, 1::4] = special
+    pixels[1, 2::4] = special
+    pixels[:, 3::4] = special
+    got, want = ieee_gamut(pixels, np.random.default_rng(2).random((7, 3)) - 0.5, unroll)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("unroll", [1, 3])
+def test_gamut_bits_equal_oracle_on_subnormal_and_overflowing_weights(unroll):
+    # subnormal weights make subnormal terms; weights near the float32 maximum
+    # overflow to +-inf terms, and opposite infinities in a lane make a NaN
+    # (non-finite weights themselves are rejected by GamutParams)
+    big = np.finfo(np.float32).max / 2
+    weights = np.array(
+        [[TINY, -TINY, 3 * TINY], [big, -TINY, TINY], [-big, TINY, big], [TINY, big, -big]],
+        np.float32,
+    )
+    pixels = np.random.default_rng(3).random((3, GAMUT_BLOCK + 1)) * 4 - 2
+    pixels[:, ::5] = TINY  # subnormal distances' squares underflow
+    got, want = ieee_gamut(pixels, weights, unroll)
+    assert np.array_equal(got, want)
+
+
+def test_gamut_does_not_fuse_a_multiply_into_its_add():
+    # two points at distance 3 from the pixel, channel 0 weights -1 and
+    # 1 + 2^-23: the second add is -3 + fl(3 * (1 + 2^-23)) = 2^-21, while a
+    # fused multiply-add rounds once to 3 * 2^-23
+    w1 = np.float32(1 + 2**-23)
+    exact = np.float64(-3) + np.float64(3) * np.float64(w1)  # exact in float64
+    assert np.float32(exact) != np.float32(-3) + np.float32(3) * w1
+    gp = GamutParams(
+        ctrl_pts=np.full((2, 3), 0.5) + [[3, 0, 0]],
+        weights=[[-1, 0, 0], [w1, 0, 0]],
+        coefs=np.zeros((4, 3)),
+    )
+    out = kernels.gamut_point_major(np.full((3, 1), 0.5, np.float32), gp)
+    assert out[0, 0] == np.float32(2**-21)
+
+
+def test_importing_ispbench_leaves_subnormals_on():
+    # a library built with -ffast-math sets flush-to-zero for the whole process
+    import ispbench  # noqa: F401
+
+    kernels.gamut_point_major(np.zeros((3, 1), np.float32), rand_params(3).gamut)
+    assert np.float32(1e-40) * np.float32(1) != 0
+
+
+def test_a_missing_compiler_is_an_import_error_that_names_it(tmp_path):
+    with pytest.raises(ImportError, match="no-such-cc"):
+        kernels._build(GAMUT_SOURCE, tmp_path / "gamut.so", cc="no-such-cc")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_failed_compile_is_an_import_error_with_the_compiler_output(tmp_path):
+    source = tmp_path / "broken.c"
+    source.write_text("void gamut(void) { syntax error }\n")
+    with pytest.raises(ImportError, match=r"(?s)cc -O3 .*broken\.c.*error"):
+        kernels._build(source, tmp_path / "broken.so")
+    assert list(tmp_path.iterdir()) == [source]
+
+
+# run in a fresh interpreter: the gamut of a fixed 77-pixel image, as a digest
+GAMUT_CHILD = """\
+import hashlib, sys
+import numpy as np
+from ispbench import kernels
+from ispbench.params import random_gamut
+assert kernels.__file__.startswith(sys.argv[1]), kernels.__file__
+flat = np.random.default_rng(0).random((3, 77), dtype=np.float32)
+out = kernels.gamut_point_major(flat, random_gamut(40, 7), (0, 1, 2), 3)
+print(hashlib.sha256(out.tobytes()).hexdigest())
+"""
+
+
+def gamut_child(root, prelude: str = "") -> subprocess.Popen:
+    env = dict(os.environ, PYTHONPATH=str(root))
+    return subprocess.Popen(
+        [sys.executable, "-c", prelude + GAMUT_CHILD, str(root)],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+
+
+def test_two_cold_imports_at_once_both_build_and_agree(tmp_path):
+    package = Path(kernels.__file__).parent
+    shutil.copytree(package, tmp_path / "ispbench", ignore=shutil.ignore_patterns("__pycache__"))
+    children = [gamut_child(tmp_path) for _ in range(2)]
+    results = [child.communicate(timeout=120) + (child.returncode,) for child in children]
+    assert [code for _, _, code in results] == [0, 0], results
+    flat = np.random.default_rng(0).random((3, 77), dtype=np.float32)
+    out = kernels.gamut_point_major(flat, random_gamut(40, 7), (0, 1, 2), 3)
+    assert {stdout.strip() for stdout, _, _ in results} == {hashlib.sha256(out.tobytes()).hexdigest()}
+    built = sorted(p.name for p in (tmp_path / "ispbench" / "__pycache__").glob("_gamut*"))
+    assert len(built) == 1 and built[0].endswith(".so"), built  # no temporary left
+
+
+def test_a_warm_import_starts_no_process():
+    # this interpreter's import has built the library already
+    prelude = """\
+import sys
+def refuse(event, args):
+    if event.split(".")[0] in ("subprocess", "os") and any(
+        word in event for word in ("Popen", "system", "spawn", "fork", "exec")
+    ):
+        raise RuntimeError(f"started a process: {event}")
+sys.addaudithook(refuse)
+"""
+    child = gamut_child(Path(kernels.__file__).parents[1], prelude)
+    stdout, stderr = child.communicate(timeout=120)
+    assert child.returncode == 0, stderr
 
 
 def test_tone_index_maps_non_finite_values_to_defined_rows():

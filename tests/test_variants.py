@@ -13,7 +13,6 @@ import hashlib
 import numpy as np
 import pytest
 
-from ispbench import kernels
 from ispbench.kernels import STAGE_NAMES, tone_index
 from ispbench.variants import (
     VariantConfig,
@@ -24,6 +23,7 @@ from ispbench.variants import (
 )
 
 from _helpers import (
+    GAMUT_BLOCK,
     demosaic_oracle,
     denoise_oracle,
     gamut_oracle,
@@ -201,12 +201,20 @@ def test_every_gamut_variant_matches_oracle_and_pinned_counters(n):
     _check_gamut_space(n)
 
 
-def test_gamut_variants_across_chunk_and_point_block_edges(monkeypatch):
-    # 24 pixels in chunks of 5; blocks of 2 points, so unroll lanes start in
-    # different blocks
-    monkeypatch.setattr(kernels, "CHUNK_PIXELS", 5)
-    monkeypatch.setattr(kernels, "BLOCK_SLOTS", 10)
-    _check_gamut_space(17)
+def test_gamut_variants_across_chunk_and_point_block_edges():
+    # B + 1 and 2B + 1 pixels for the compiled loop's B-pixel blocks, so the
+    # last block holds one pixel; n=3 puts unroll 5 and 6 past the last point
+    for n in (3, 17):
+        params = rand_params(n, seed=2)
+        for k in (GAMUT_BLOCK + 1, 2 * GAMUT_BLOCK + 1):
+            img = rand_planar(k, 1, seed=k)
+            oracles = {}
+            for cfg in valid_variant_space("gamut"):
+                u = cfg.unroll_factor
+                if u not in oracles:
+                    oracles[u] = gamut_oracle(img, params.gamut, unroll=u).planes.view(np.uint32)
+                out, _ = run_variant("gamut", cfg, img, params)
+                assert np.array_equal(out.planes.view(np.uint32), oracles[u]), (cfg.label(), k)
 
 
 @pytest.mark.parametrize("stage, mode", list(CLOSED_FORM))
