@@ -69,7 +69,7 @@ def _build(source: Path, target: Path, cc: str = "cc") -> None:
     The compiler writes a name of its own, which is then renamed onto
     ``target``, so a process that finds ``target`` finds it whole.
     """
-    import subprocess
+    import subprocess  # here, not at the top: a warm import never compiles
 
     tmp = target.with_name(f"{target.name}.{os.getpid()}.tmp")
     cmd = [cc, *CFLAGS, "-o", str(tmp), str(source)]

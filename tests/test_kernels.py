@@ -274,6 +274,13 @@ def test_gamut_chunk_and_point_block_edges(n):
         assert np.array_equal(got.view(np.uint32), want.reshape(3, k)), k
 
 
+def test_gamut_reads_params_given_in_column_major_order():
+    gp = rand_params(17, seed=5).gamut
+    cm = GamutParams(*(np.asfortranarray(a) for a in (gp.ctrl_pts, gp.weights, gp.coefs)))
+    img = rand_planar(9, 2, seed=1)
+    assert np.array_equal(bits(kernels.gamut_map(img, cm)), bits(kernels.gamut_map(img, gp)))
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     k=st.sampled_from(EDGE_PIXELS),
