@@ -186,10 +186,14 @@ def test_cheap_kernels_allocate_under_half_their_output_besides_it(kernel):
 
 
 @pytest.mark.parametrize("channels, unroll", [((0, 1, 2), 1), ((1,), 6)])
-def test_gamut_point_major_allocates_only_its_output(monkeypatch, channels, unroll):
-    # with NumPy's ufunc buffers cut to 16 elements, what a call allocates
-    # besides its one np.empty block is Python objects, the same at any row
-    # width: no scratch, no per-point or per-bias temporaries
+def test_gamut_point_major_allocates_only_its_output_and_one_scratch_block(
+    monkeypatch, channels, unroll
+):
+    # the scratch block is the compiled loop's fixed rgb/acc/lane arrays of
+    # BLOCK pixels on the C stack; on the heap, with NumPy's ufunc buffers cut
+    # to 16 elements, what a call allocates besides its one np.empty block is
+    # Python objects, the same at any row width: no per-point or per-bias
+    # temporaries
     gp, real_empty, blocks, excess = rand_params(16, seed=1).gamut, np.empty, [], {}
 
     def empty(*args, **kwargs):
