@@ -56,15 +56,14 @@ gamut_block(const int nc, const float *src, long chan_stride, long pix_stride,
 }
 
 /* src: three planes of `total` pixels, element strides chan_stride and
- * pix_stride. pts, wts: (n, 3) row-major; coefs: (4, 3) row-major. The nc
- * output channels start at channel c0; out is (nc, total) row-major. */
+ * pix_stride. table: (2n + 4, 3) row-major, the n control points, then the n
+ * weight rows, then the 4 bias rows. The nc output channels start at channel
+ * c0; out is (nc, total) row-major. */
 void
 gamut(const float *src, long chan_stride, long pix_stride, long total,
-      const float *pts, const float *wts, const float *coefs, long c0, long nc, long n,
-      long unroll, float *out)
+      const float *table, long c0, long nc, long n, long unroll, float *out)
 {
-    wts += c0;
-    coefs += c0;
+    const float *pts = table, *wts = table + 3 * n + c0, *coefs = table + 6 * n + c0;
     for (long s = 0; s < total; s += BLOCK) {
         long k = total - s < BLOCK ? total - s : BLOCK;
         const float *px = src + s * pix_stride;

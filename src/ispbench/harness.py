@@ -204,43 +204,27 @@ def run_matrix(cfg: HarnessConfig, perturb=None) -> BenchReport:
             out = perturb(stage, label, out)
         tol = equivalence_tolerance(stage, vcfg)
         deviation = max_rel_deviation(out.planes, reference.planes)
-        passed = deviation == 0.0 if tol == 0.0 else deviation <= tol
+        passed = deviation <= tol
         estimate = perfmodel.estimate(
             perfmodel.derive_descriptor(stage, vcfg, raw.width, raw.height, params.gamut.n, perf),
             perf.costs,
         )
+        row = VariantRow(
+            stage=stage,
+            variant=vcfg.label(),
+            status="PASS" if passed else "FAILED",
+            max_deviation=deviation,
+            tolerance=tol,
+            counters=counters.traffic_fields(),
+            optimization_report=estimate.as_dict(),
+        )
+        report.rows.append(row)
         if not passed:
-            report.rows.append(
-                VariantRow(
-                    stage=stage,
-                    variant=vcfg.label(),
-                    status="FAILED",
-                    max_deviation=deviation,
-                    tolerance=tol,
-                    counters=counters.traffic_fields(),
-                    optimization_report=estimate.as_dict(),
-                    note="equivalence check failed; excluded from timing",
-                )
-            )
+            row.note = "equivalence check failed; excluded from timing"
             continue
-
         samples = [counters.wall_time]
         for _ in range(cfg.reps - 1):
-            _, more = run_variant(stage, vcfg, data, params)
-            samples.append(more.wall_time)
-        mean = statistics.fmean(samples)
-        report.rows.append(
-            VariantRow(
-                stage=stage,
-                variant=vcfg.label(),
-                status="PASS",
-                max_deviation=deviation,
-                tolerance=tol,
-                wall_time_mean=mean,
-                wall_time_min=min(samples),
-                speedup=ref_mean / mean,
-                counters=counters.traffic_fields(),
-                optimization_report=estimate.as_dict(),
-            )
-        )
+            samples.append(run_variant(stage, vcfg, data, params)[1].wall_time)
+        row.wall_time_mean, row.wall_time_min = statistics.fmean(samples), min(samples)
+        row.speedup = ref_mean / row.wall_time_mean
     return report

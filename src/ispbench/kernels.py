@@ -57,7 +57,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .images import PlanarImage, RawBayerImage, _quantize, tone_index  # noqa: F401 (re-export)
+from .images import PlanarImage, RawBayerImage, _quantize
 from .params import GamutParams, PipelineParams, ToneLUT, TransformMatrix
 
 CFLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC")
@@ -97,7 +97,7 @@ def _load_gamut():
         _build(source, target)
     fn = ctypes.CDLL(str(target)).gamut
     ptr, num = ctypes.c_void_p, ctypes.c_long
-    fn.argtypes = [ptr, num, num, num, ptr, ptr, ptr, num, num, num, num, ptr]
+    fn.argtypes = [ptr, num, num, num, ptr, num, num, num, num, ptr]
     fn.restype = None
     return fn
 
@@ -311,8 +311,7 @@ def gamut_point_major(
     chan_stride, pix_stride = (s // 4 for s in flat.strides)
     _gamut(
         flat.ctypes.data, chan_stride, pix_stride, flat.shape[1],
-        gp.ctrl_pts.ctypes.data, gp.weights.ctypes.data, gp.coefs.ctypes.data,
-        c0, nc, gp.n, unroll, out.ctypes.data,
+        gp.table.ctypes.data, c0, nc, gp.n, unroll, out.ctypes.data,
     )
     return out
 
@@ -328,8 +327,8 @@ def gamut_map(img: PlanarImage, gp: GamutParams) -> PlanarImage:
     return PlanarImage(width=w, height=h, planes=out.reshape(3, h, w))
 
 
-def _tone_map_indexed(img: PlanarImage, t: ToneLUT, rows: np.ndarray | None = None):
-    """The tone map; ``rows``, when given, receives the ``(3, h, w)`` LUT rows it read.
+def tone_map(img: PlanarImage, t: ToneLUT) -> PlanarImage:
+    """Look each value's ``tone_index`` row up in its channel's LUT column.
 
     Walks row strips, quantizing all three channels of a strip at once.
     """
@@ -338,17 +337,13 @@ def _tone_map_indexed(img: PlanarImage, t: ToneLUT, rows: np.ndarray | None = No
     lut = t.lut.T  # (3, 256): ToneLUT stores one contiguous row per channel
     strips = _strips(h, w)
     scaled = np.empty((3, strips[0][1], w), np.float32)
-    index = np.empty((3, strips[0][1], w), np.int64) if rows is None else None
+    index = np.empty((3, strips[0][1], w), np.int64)
     for y0, y1 in strips:
-        k = index[:, : y1 - y0] if rows is None else rows[:, y0:y1]
+        k = index[:, : y1 - y0]
         _quantize(img.planes[:, y0:y1], scaled[:, : y1 - y0], k)
         for c in range(3):
             lut[c].take(k[c], out=out[c, y0:y1], mode="wrap")  # in range; no bounds buffer
     return PlanarImage(width=w, height=h, planes=out)
-
-
-def tone_map(img: PlanarImage, t: ToneLUT) -> PlanarImage:
-    return _tone_map_indexed(img, t)
 
 
 def reference_stage(stage: str, data, params: PipelineParams):

@@ -76,20 +76,28 @@ class TransformMatrix:
 
 @dataclass(frozen=True)
 class GamutParams:
-    """Control points, per-channel weights, and the 4x3 affine bias."""
+    """Control points, per-channel weights, and the 4x3 affine bias.
+
+    All three are views into one contiguous ``(2n + 4, 3)`` float32 ``table``,
+    in the order of the traffic model's gamut region (points, weights, bias),
+    which is how the compiled gamut loop reads them.
+    """
 
     ctrl_pts: np.ndarray  # (n, 3)
     weights: np.ndarray  # (n, 3)
     coefs: np.ndarray  # (4, 3): constant row, then one row per input channel
+    table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = np.asarray(self.ctrl_pts).shape[0] if np.asarray(self.ctrl_pts).ndim == 2 else 0
         if n < 1:
             raise ParamsError("gamut needs at least one control point")
-        # row-major, as the compiled gamut loop reads them
-        for name, shape in (("ctrl_pts", (n, 3)), ("weights", (n, 3)), ("coefs", (4, 3))):
-            arr = np.ascontiguousarray(_as_f32(getattr(self, name), shape, name))
-            object.__setattr__(self, name, arr)
+        table = np.empty((2 * n + 4, 3), np.float32)
+        views = {"ctrl_pts": table[:n], "weights": table[n : 2 * n], "coefs": table[2 * n :]}
+        for name, view in views.items():
+            view[...] = _as_f32(getattr(self, name), view.shape, name)
+            object.__setattr__(self, name, view)
+        object.__setattr__(self, "table", table)
 
     @property
     def n(self) -> int:
@@ -98,11 +106,7 @@ class GamutParams:
     def __eq__(self, other):
         if not isinstance(other, GamutParams):
             return NotImplemented
-        return (
-            np.array_equal(self.ctrl_pts, other.ctrl_pts)
-            and np.array_equal(self.weights, other.weights)
-            and np.array_equal(self.coefs, other.coefs)
-        )
+        return np.array_equal(self.table, other.table)
 
 
 @dataclass(frozen=True)

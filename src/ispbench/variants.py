@@ -16,21 +16,25 @@ unoptimized channel-sequential kernel.
 
 A variant run has three parts:
 
-1. the reference kernel.  Demosaic, denoise, transform and tone map run
-   ``kernels.reference_stage`` whatever the config; gamut runs the
-   compiled reference loop (``kernels.gamut_point_major``) with
-   ``unroll_factor`` lanes, once per channel when channel-sequential, so
-   that variant recomputes the distances for every channel;
-2. ``traffic``: the counters of the variant's nominal single-work-item
-   loop, from one table of global reads per pixel (fused and
-   channel-sequential) and the size of each stage's flat read-only region
-   (``region_words``; gamut: control points, then weights, then the bias
-   coefficients);
+1. the reference kernel, the only part the clock times, so
+   ``AccessCounters.wall_time`` is the kernel's alone.  Demosaic, denoise,
+   transform and tone map run ``kernels.reference_stage`` whatever the
+   config; gamut runs the compiled reference loop
+   (``kernels.gamut_point_major``) with ``unroll_factor`` lanes, once per
+   channel when channel-sequential, so that variant recomputes the
+   distances for every channel;
+2. after the clock stops, ``traffic``: the counters of the variant's
+   nominal single-work-item loop, from one table of global reads per pixel
+   (fused and channel-sequential) and the size of each stage's flat
+   read-only region (``region_words``; gamut: control points, then
+   weights, then the bias coefficients, as ``GamutParams.table`` holds
+   them);
 3. the cache replay: the read-only accesses as ``(trace, repeats)`` passes
    of byte offsets, each an ascending sweep of the region per pixel,
    replayed through ``ConstCacheSim.access_repeated``.  The tone map's
    accesses depend on the pixel values, so its trace is one pass over the
-   whole image with ``repeats=1``.
+   whole image with ``repeats=1``, from the LUT rows ``images.tone_index``
+   gives.
 
 R and I change neither the output nor the counters; they only feed the
 analytic model, so rows that differ only in R and I differ in wall time by
@@ -52,8 +56,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .cache import ConstCacheSim
-from .images import PlanarImage
-from .kernels import STAGE_NAMES, _tone_map_indexed, gamut_point_major, reference_stage
+from .images import PlanarImage, tone_index
+from .kernels import STAGE_NAMES, gamut_point_major, reference_stage
 from .params import TONE_LEVELS, PipelineParams
 
 READONLY_MODES = ("none", "const_cache", "buffered")
@@ -167,12 +171,21 @@ def equivalence_tolerance(stage: str, cfg: VariantConfig) -> float:
 
 
 def max_rel_deviation(out: np.ndarray, ref: np.ndarray) -> float:
-    """Infinity-norm deviation relative to the reference's largest magnitude."""
-    scale = float(np.max(np.abs(ref))) if ref.size else 0.0
-    diff = float(np.max(np.abs(out.astype(np.float64) - ref.astype(np.float64))))
-    if diff == 0.0:
+    """Infinity-norm deviation relative to the reference's largest finite magnitude.
+
+    Equal elements, and NaN in both outputs, count 0; any other mismatch
+    that involves a non-finite value is an infinite deviation.
+    """
+    o, r = out.astype(np.float64), ref.astype(np.float64)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        diff = np.where((o == r) | (np.isnan(o) & np.isnan(r)), 0.0, np.abs(o - r))
+    diff[np.isnan(diff)] = np.inf  # NaN against a number
+    worst = float(diff.max()) if diff.size else 0.0
+    if worst == 0.0:
         return 0.0
-    return diff / max(scale, np.finfo(np.float32).tiny)
+    finite = np.abs(r[np.isfinite(r)])
+    scale = float(finite.max()) if finite.size else 0.0
+    return worst / max(scale, np.finfo(np.float32).tiny)
 
 
 @dataclass
@@ -231,12 +244,9 @@ def _passes(stage: str, fused: bool, n: int, pixels: int, indices) -> list:
         per_pixel = [np.arange(9)] if fused else [3 * c + np.arange(3) for c in range(3)]
     elif fused:
         per_pixel = [np.arange(6 * n + 12)]
-    else:  # every point, then channel c's weight column and bias column
-        points = np.arange(3 * n)
-        per_pixel = [
-            np.concatenate([points, 3 * n + 3 * np.arange(n) + c, 6 * n + 3 * np.arange(4) + c])
-            for c in range(3)
-        ]
+    else:  # every point, then column c of the weight and bias rows
+        words = np.arange(6 * n + 12).reshape(-1, 3)
+        per_pixel = [np.concatenate([words[:n].ravel(), words[n:, c]]) for c in range(3)]
     return [(4 * trace, pixels) for trace in per_pixel]
 
 
@@ -273,22 +283,23 @@ def traffic(
 def run_variant(
     stage: str, cfg: VariantConfig, data, params: PipelineParams
 ) -> tuple[PlanarImage, AccessCounters]:
-    """Run one instrumented kernel variant; rejects invalid pairings first."""
+    """Run one instrumented kernel variant; rejects invalid pairings first.
+
+    ``wall_time`` is the kernel's alone: the clock stops before the tone
+    map's LUT rows are taken and ``traffic`` counts the accesses.
+    """
     cfg.validate_for(stage)
     t0 = time.perf_counter()
-    indices = None  # the tone map's LUT rows, for its trace
     if stage == "gamut":
         flat = data.planes.reshape(3, -1)
         channels = [(0, 1, 2)] if cfg.fused_rewrite else [(c,) for c in range(3)]
         planes = [gamut_point_major(flat, params.gamut, ch, cfg.unroll_factor) for ch in channels]
         planes = np.concatenate(planes).reshape(data.planes.shape)
         out = PlanarImage(width=data.width, height=data.height, planes=planes)
-    elif stage == "tonemap":
-        rows = np.empty(data.planes.shape, np.int64)
-        out = _tone_map_indexed(data, params.tone, rows)
-        indices = rows.reshape(3, -1)
     else:
         out = reference_stage(stage, data, params)
+    wall_time = time.perf_counter() - t0
+    indices = tone_index(data.planes).reshape(3, -1) if stage == "tonemap" else None
     counters = traffic(stage, cfg, out.width, out.height, params.gamut.n, indices)
-    counters.wall_time = time.perf_counter() - t0
+    counters.wall_time = wall_time
     return out, counters

@@ -6,6 +6,7 @@ loops in float32, independent of the vectorized implementations they check.
 
 from __future__ import annotations
 
+import dataclasses
 import re
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from ispbench.params import (
     PipelineParams,
     ToneLUT,
     TransformMatrix,
+    default_params,
     gamma_tone,
     random_gamut,
 )
@@ -69,6 +71,14 @@ def in_range_params(n=3611, seed=2) -> PipelineParams:
     coefs[1:] = np.eye(3)
     gamut = GamutParams(rng.random((n, 3)), weights, coefs)
     return PipelineParams(transform=TransformMatrix(np.eye(3)), gamut=gamut, tone=gamma_tone())
+
+
+def overflow_params(n=16) -> PipelineParams:
+    """``default_params(n)`` with every gamut weight 3e38: the weighted sums overflow to inf."""
+    params = default_params(n)
+    gp = params.gamut
+    gamut = GamutParams(gp.ctrl_pts, np.full_like(gp.weights, 3e38), gp.coefs)
+    return dataclasses.replace(params, gamut=gamut)
 
 
 # ---------------------------------------------------------------------------

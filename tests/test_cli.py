@@ -13,7 +13,10 @@ import pytest
 import ispbench
 from ispbench import cli, harness
 from ispbench.harness import HarnessConfig
+from ispbench.params import save_params_file
 from ispbench.variants import VariantError
+
+from _helpers import overflow_params
 
 GAMUT = ["--stage", "gamut", "--synth", "16x12:noise:1", "--n-points", "5", "--reps", "1"]
 
@@ -32,6 +35,13 @@ def test_gate_failure_exits_1(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_matrix", lambda cfg: harness.run_matrix(cfg, perturb=perturb))
     assert cli.main(GAMUT) == 1
     assert "FAILED" in capsys.readouterr().out
+
+
+def test_identical_non_finite_outputs_exit_0(tmp_path, capsys):
+    path = tmp_path / "overflow.json"
+    save_params_file(path, overflow_params())
+    assert cli.main([*GAMUT[:4], "--params", str(path), "--reps", "1"]) == 0
+    assert "FAILED" not in capsys.readouterr().out
 
 
 def test_dataflow_mode_records_the_one_run_it_makes_not_reps(capsys):

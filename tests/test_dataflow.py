@@ -18,6 +18,7 @@ from ispbench.dataflow import (
     simulate_chain,
     stage_cost_units,
 )
+from ispbench.images import tone_index
 from ispbench.kernels import (
     STAGE_NAMES,
     demosaic,
@@ -25,7 +26,6 @@ from ispbench.kernels import (
     gamut_map,
     run_pipeline,
     stage_input,
-    tone_index,
 )
 
 from _helpers import in_range_params, rand_params, rand_planar, rand_raw, simulate_chain_oracle

@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 
 from ispbench import dataflow, harness
-from ispbench.harness import HarnessConfig, run_matrix
+from ispbench.harness import HarnessConfig, load_harness_inputs, run_matrix
 from ispbench.images import PlanarImage
-from ispbench.kernels import STAGE_NAMES
+from ispbench.kernels import STAGE_NAMES, gamut_map, stage_input
 from ispbench.params import save_params_file
-from ispbench.variants import VariantError
+from ispbench.variants import NAMED_VARIANTS, VariantError
 
-from _helpers import in_range_params
+from _helpers import in_range_params, overflow_params
 
 
 @pytest.mark.parametrize("clock", ["wall", "virtual"])
@@ -44,6 +44,32 @@ def test_a_halved_gamut_fails_the_dataflow_gate_at_3611_points(monkeypatch, tmp_
     report = run_matrix(cfg)
     assert report.pipeline.dataflow["output_matches"] is False
     assert not report.all_passed
+
+
+@pytest.mark.parametrize("size", ["16x12", "64x48"])
+def test_identical_non_finite_gamut_outputs_pass_every_variant(tmp_path, size):
+    path = tmp_path / "overflow.json"
+    save_params_file(path, overflow_params())
+    cfg = HarnessConfig(stage="gamut", synth_spec=f"{size}:noise:1", params_path=str(path), reps=1)
+    raw, params, _, _ = load_harness_inputs(cfg)
+    reference = gamut_map(stage_input("gamut", raw, params), params.gamut).planes
+    assert np.isinf(reference).any()
+    report = run_matrix(cfg)
+    assert [row.variant for row in report.rows] == list(NAMED_VARIANTS["gamut"])
+    assert all(row.status == "PASS" and row.max_deviation == 0.0 for row in report.rows)
+    assert report.all_passed
+
+
+def test_an_infinite_value_against_a_finite_one_fails_the_gate():
+    def perturb(stage, label, image):
+        if label == "RIW":
+            image.planes[0, 0, 0] = np.inf
+        return image
+
+    cfg = HarnessConfig(stage="gamut", synth_spec="16x12:noise:1", n_points=5, reps=1)
+    rows = {row.variant: row for row in run_matrix(cfg, perturb=perturb).rows}
+    assert rows["RIW"].status == "FAILED" and rows["RIW"].max_deviation == np.inf
+    assert all(row.status == "PASS" for label, row in rows.items() if label != "RIW")
 
 
 def test_cache_size_must_be_at_least_1kb():

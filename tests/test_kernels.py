@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ispbench import kernels
-from ispbench.images import PlanarImage
+from ispbench.images import PlanarImage, tone_index
 from ispbench.params import GamutParams, ToneLUT, random_gamut
 
 from _helpers import (
@@ -147,7 +147,7 @@ def test_transform_strip_edges_and_special_values(monkeypatch, w, h, strip):
 
 def tone_by_planes(img: PlanarImage, t: ToneLUT) -> np.ndarray:
     """The tone map one whole plane at a time."""
-    return np.stack([t.lut[kernels.tone_index(img.planes[c]), c] for c in range(3)])
+    return np.stack([t.lut[tone_index(img.planes[c]), c] for c in range(3)])
 
 
 @pytest.mark.parametrize("w,h", [(1, 1), (7, 5), (34, 19)])
@@ -159,10 +159,6 @@ def test_tone_map_strip_edges_and_special_values(monkeypatch, w, h, strip):
     assert kernels.tone_map(plain, t) == tone_oracle(plain, t)
     for img in (plain, special):
         assert kernels.tone_map(img, t).planes.tobytes() == tone_by_planes(img, t).tobytes()
-        rows = np.empty((3, h, w), np.int64)
-        out = kernels._tone_map_indexed(img, t, rows)
-        assert np.array_equal(rows, kernels.tone_index(img.planes))
-        assert out.planes.tobytes() == tone_by_planes(img, t).tobytes()
 
 
 @pytest.mark.parametrize("kernel", ["demosaic", "denoise", "transform", "tone_map"])
@@ -469,7 +465,7 @@ sys.addaudithook(refuse)
 
 def test_tone_index_maps_non_finite_values_to_defined_rows():
     values = np.array([np.nan, np.inf, -np.inf, -0.3, 0.5, 2.0], np.float32)
-    assert kernels.tone_index(values).tolist() == [0, 255, 0, 0, 128, 255]
+    assert tone_index(values).tolist() == [0, 255, 0, 0, 128, 255]
 
 
 def test_tone_index_equals_rounding_half_away_from_zero():
@@ -482,7 +478,7 @@ def test_tone_index_equals_rounding_half_away_from_zero():
         x = values * np.float32(255.0)
         rounded = np.sign(x) * np.floor(np.abs(x) + np.float32(0.5))  # ties away from zero
         old = np.fmin(np.fmax(rounded, 0.0), 255.0)
-        assert np.array_equal(kernels.tone_index(values), old.astype(np.int64))
+        assert np.array_equal(tone_index(values), old.astype(np.int64))
 
 
 def test_tone_map_accepts_nan_pixels():

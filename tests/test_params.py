@@ -14,12 +14,14 @@ import pytest
 import ispbench
 from ispbench import cli
 from ispbench.params import (
+    GamutParams,
     ParamsError,
     PerfModelConfig,
     ToneLUT,
     load_params_file,
     save_params_file,
 )
+from ispbench.variants import region_words
 
 from _helpers import rand_params
 
@@ -64,6 +66,16 @@ def test_tone_lut_keeps_each_channel_contiguous():
     levels = np.arange(768, dtype=np.float32).reshape(256, 3)
     t = ToneLUT(levels)
     assert t.lut.T.flags.c_contiguous and np.array_equal(t.lut, levels)
+
+
+def test_gamut_params_are_views_into_one_table_in_region_order():
+    gp = rand_params(5, seed=3).gamut
+    assert gp.table.shape == (14, 3) and gp.table.size == region_words("gamut", 5)
+    assert gp.table.dtype == np.float32 and gp.table.flags.c_contiguous
+    for view, rows in ((gp.ctrl_pts, np.s_[:5]), (gp.weights, np.s_[5:10]), (gp.coefs, np.s_[10:])):
+        assert view.base is gp.table and np.array_equal(view, gp.table[rows])
+    assert gp == GamutParams(gp.ctrl_pts.copy(), gp.weights.copy(), gp.coefs.copy())
+    assert gp != GamutParams(gp.ctrl_pts, -gp.weights, gp.coefs)
 
 
 def test_save_then_load_is_bit_identical(tmp_path):

@@ -9,13 +9,17 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import time
 
 import numpy as np
 import pytest
 
-from ispbench.kernels import STAGE_NAMES, tone_index
+from ispbench import kernels, variants
+from ispbench.images import tone_index
+from ispbench.kernels import STAGE_NAMES
 from ispbench.variants import (
     VariantConfig,
+    max_rel_deviation,
     parse_variant,
     run_variant,
     traffic,
@@ -228,6 +232,49 @@ def test_traffic_of_the_fused_loop_equals_the_old_closed_form(stage, mode):
 def test_tone_map_traffic_needs_its_indices():
     with pytest.raises(ValueError):
         traffic("tonemap", VariantConfig(), 16, 10, 17)
+
+
+@pytest.mark.parametrize("stage", STAGE_NAMES)
+def test_wall_time_is_the_kernels_alone(monkeypatch, stage):
+    # traffic, and the tone map's LUT rows for it, run after the clock stops
+    original = variants.traffic
+
+    def slow(*args, **kwargs):
+        time.sleep(0.2)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(variants, "traffic", slow)
+    params = rand_params(3, seed=2)
+    data = rand_raw(16, 10, seed=5) if stage == "demosaic" else rand_planar(16, 10, seed=5)
+    assert run_variant(stage, VariantConfig(), data, params)[1].wall_time < 0.2
+
+
+def test_every_tone_map_variant_runs_the_reference_tone_map_once(monkeypatch):
+    calls = []
+    original = kernels.tone_map
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(kernels, "tone_map", counted)
+    params, data = rand_params(3, seed=2), rand_planar(16, 10, seed=5, lo=-0.2, hi=1.2)
+    for cfg in valid_variant_space("tonemap"):
+        calls.clear()
+        run_variant("tonemap", cfg, data, params)
+        assert len(calls) == 1, cfg.label()
+
+
+def test_gate_deviation_on_non_finite_values():
+    ref = np.float32([np.inf, -np.inf, np.nan, 1.0, -0.0, 2.0])
+    assert max_rel_deviation(ref.copy(), ref) == 0.0
+    for i, value in [(0, 1.0), (0, -np.inf), (1, np.nan), (2, 1.0), (3, np.inf), (3, np.nan)]:
+        out = ref.copy()
+        out[i] = value
+        assert max_rel_deviation(out, ref) == np.inf, (i, value)
+    out = ref.copy()
+    out[3] = 1.5  # the scale is the largest finite reference magnitude, 2
+    assert max_rel_deviation(out, ref) == 0.25
 
 
 @pytest.mark.parametrize("stage", STAGE_NAMES)
