@@ -178,12 +178,14 @@ def max_rel_deviation(out: np.ndarray, ref: np.ndarray) -> float:
     """
     o, r = out.astype(np.float64), ref.astype(np.float64)
     with np.errstate(invalid="ignore"):  # inf - inf
-        diff = np.where((o == r) | (np.isnan(o) & np.isnan(r)), 0.0, np.abs(o - r))
-    diff[np.isnan(diff)] = np.inf  # NaN against a number
+        diff = np.abs(o - r)
+    nan = np.isnan(diff)  # a NaN on either side, or two infinities
+    o, r = o[nan], r[nan]
+    diff[nan] = np.where((o == r) | (np.isnan(o) & np.isnan(r)), 0.0, np.inf)
     worst = float(diff.max()) if diff.size else 0.0
     if worst == 0.0:
         return 0.0
-    finite = np.abs(r[np.isfinite(r)])
+    finite = np.abs(ref[np.isfinite(ref)])
     scale = float(finite.max()) if finite.size else 0.0
     return worst / max(scale, np.finfo(np.float32).tiny)
 
