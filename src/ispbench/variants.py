@@ -180,8 +180,9 @@ def max_rel_deviation(out: np.ndarray, ref: np.ndarray) -> float:
     with np.errstate(invalid="ignore"):  # inf - inf
         diff = np.abs(o - r)
     nan = np.isnan(diff)  # a NaN on either side, or two infinities
-    o, r = o[nan], r[nan]
-    diff[nan] = np.where((o == r) | (np.isnan(o) & np.isnan(r)), 0.0, np.inf)
+    if nan.any():
+        o, r = o[nan], r[nan]
+        diff[nan] = np.where((o == r) | (np.isnan(o) & np.isnan(r)), 0.0, np.inf)
     worst = float(diff.max()) if diff.size else 0.0
     if worst == 0.0:
         return 0.0
