@@ -179,7 +179,7 @@ def max_rel_deviation(out: np.ndarray, ref: np.ndarray) -> float:
     o, r = out.astype(np.float64), ref.astype(np.float64)
     with np.errstate(invalid="ignore"):  # inf - inf
         diff = np.abs(o - r)
-    nan = np.isnan(diff)  # a NaN on either side, or two infinities
+    nan = np.isnan(diff)  # a NaN on either side, or two infinities of one sign
     if nan.any():
         o, r = o[nan], r[nan]
         diff[nan] = np.where((o == r) | (np.isnan(o) & np.isnan(r)), 0.0, np.inf)
