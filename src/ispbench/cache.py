@@ -28,7 +28,6 @@ class ConstCacheSim:
             )
         if region_bytes < 1:
             raise ValueError("registered region must be non-empty")
-        self.size_bytes = size_bytes
         self.region_bytes = region_bytes
         self.lines = size_bytes // LINE_BYTES
         self.tags = np.full(self.lines, -1, dtype=np.int64)

@@ -1,17 +1,18 @@
 """Benchmark orchestration: variant matrices, profiles, and dataflow runs.
 
-Every variant's output is checked against the reference kernel before any
-timing happens; a variant that fails equivalence is reported as FAILED with
-its maximum deviation and never enters the speedup table.  Kernel inputs
-come from running the reference chain up to the requested stage, so each
-kernel sees realistic data.
+Kernel inputs come from the reference chain up to the requested stage.  The
+reference, each passing variant and, at stage ``pipeline``, each stage take
+``reps`` samples through ``variants.sample``.  The reference's first sample
+is the output the gate checks; a variant's first is ``run_variant``'s, with
+the row's counters, and its other ``reps - 1`` time ``variant_kernel`` alone,
+so ``traffic`` runs once per row.  A variant that fails the gate is reported
+as FAILED with its maximum deviation and is not timed again.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import statistics
-import time
 from dataclasses import dataclass, field as dc_field
 from datetime import datetime, timezone
 
@@ -30,6 +31,8 @@ from .variants import (
     max_rel_deviation,
     parse_variant,
     run_variant,
+    sample,
+    variant_kernel,
 )
 
 
@@ -142,10 +145,6 @@ def _stats_dict(stats) -> dict:
     }
 
 
-def _timestamp() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
-
-
 def run_matrix(cfg: HarnessConfig, perturb=None) -> BenchReport:
     """Run the configured benchmark and assemble a report.
 
@@ -154,7 +153,7 @@ def run_matrix(cfg: HarnessConfig, perturb=None) -> BenchReport:
     """
     raw, params, perf, image_desc = load_harness_inputs(cfg)
     meta = _meta(cfg, raw, params, image_desc)
-    report = BenchReport(timestamp=_timestamp(), meta=meta)
+    report = BenchReport(datetime.now(timezone.utc).isoformat(timespec="seconds"), meta)
 
     if cfg.mode == "dataflow":
         reference = run_pipeline(raw, params)
@@ -173,8 +172,10 @@ def run_matrix(cfg: HarnessConfig, perturb=None) -> BenchReport:
         return report
 
     if cfg.stage == "pipeline":
-        runs = [run_pipeline(raw, params, with_times=True)[1] for _ in range(cfg.reps)]
-        times = {stage: statistics.fmean(run[stage] for run in runs) for stage in STAGE_NAMES}
+        img, times = raw, {}
+        for stage in STAGE_NAMES:
+            img, samples = sample(cfg.reps, reference_stage, stage, img, params)
+            times[stage] = statistics.fmean(samples)
         total = sum(times.values())
         report.pipeline = PipelineSection(
             stage_shares={stage: t / total for stage, t in times.items()},
@@ -185,13 +186,7 @@ def run_matrix(cfg: HarnessConfig, perturb=None) -> BenchReport:
 
     stage = cfg.stage
     data = stage_input(stage, raw, params)
-    t0 = time.perf_counter()
-    reference = reference_stage(stage, data, params)  # the gate's output is timing sample 1
-    ref_times = [time.perf_counter() - t0]
-    for _ in range(cfg.reps - 1):
-        t0 = time.perf_counter()
-        reference_stage(stage, data, params)
-        ref_times.append(time.perf_counter() - t0)
+    reference, ref_times = sample(cfg.reps, reference_stage, stage, data, params)
     ref_mean = statistics.fmean(ref_times)
     meta["reference_time_mean"] = ref_mean
     meta["reference_time_min"] = min(ref_times)
@@ -222,9 +217,8 @@ def run_matrix(cfg: HarnessConfig, perturb=None) -> BenchReport:
         if not passed:
             row.note = "equivalence check failed; excluded from timing"
             continue
-        samples = [counters.wall_time]
-        for _ in range(cfg.reps - 1):
-            samples.append(run_variant(stage, vcfg, data, params)[1].wall_time)
+        _, extra = sample(cfg.reps - 1, variant_kernel(stage, vcfg, params), data)
+        samples = [counters.wall_time, *extra]
         row.wall_time_mean, row.wall_time_min = statistics.fmean(samples), min(samples)
         row.speedup = ref_mean / row.wall_time_mean
     return report

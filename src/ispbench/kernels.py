@@ -16,8 +16,9 @@ Gamut is one compiled C loop (``_gamut.c``, called through ``ctypes``), so
 ispbench needs a C compiler (``cc``). It is built on first import into the
 package's ``__pycache__``, under a name keyed by the source, the flags and
 the host CPU's flags, and loaded from there afterwards without starting a
-process; a missing or failing compiler is an ``ImportError`` that names the
-command. The loop walks blocks of 64 pixels outside and the control points
+process. A build removes the other builds there (of an older source, other
+flags or another CPU). A missing or failing compiler is an ``ImportError``
+that names the command. The loop walks blocks of 64 pixels outside and the control points
 inside, so a block's sums stay in registers, and it keeps the float32 order
 above: built with ``-ffp-contract=off`` and without ``-ffast-math``, no
 multiply is fused into its add and subnormals are kept.
@@ -52,7 +53,6 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
-import time
 from pathlib import Path
 
 import numpy as np
@@ -95,6 +95,9 @@ def _load_gamut():
     if not target.exists():
         target.parent.mkdir(exist_ok=True)
         _build(source, target)
+        for stale in target.parent.glob("_gamut-*.so"):  # never another build's *.tmp
+            if stale != target:
+                stale.unlink(missing_ok=True)
     fn = ctypes.CDLL(str(target)).gamut
     ptr, num = ctypes.c_void_p, ctypes.c_long
     fn.argtypes = [ptr, num, num, num, ptr, num, num, num, num, ptr]
@@ -365,13 +368,7 @@ def stage_input(stage: str, raw: RawBayerImage, params: PipelineParams):
     return data
 
 
-def run_pipeline(
-    raw: RawBayerImage, params: PipelineParams, with_times: bool = False
-) -> PlanarImage | tuple[PlanarImage, dict[str, float]]:
-    """Run the five stages in order; optionally report per-stage wall time."""
-    img, times = raw, {}
-    for name in STAGE_NAMES:
-        t0 = time.perf_counter()
-        img = reference_stage(name, img, params)
-        times[name] = time.perf_counter() - t0
-    return (img, times) if with_times else img
+def run_pipeline(raw: RawBayerImage, params: PipelineParams) -> PlanarImage:
+    """Run the five stages in order."""
+    last = STAGE_NAMES[-1]
+    return reference_stage(last, stage_input(last, raw, params), params)

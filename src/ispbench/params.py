@@ -156,11 +156,6 @@ class PerfModelConfig:
 # Constructors
 # ---------------------------------------------------------------------------
 
-def identity_tone() -> ToneLUT:
-    levels = np.arange(TONE_LEVELS, dtype=np.float32) / np.float32(255.0)
-    return ToneLUT(np.repeat(levels[:, None], 3, axis=1))
-
-
 def gamma_tone(gamma: float = 2.2) -> ToneLUT:
     levels = (np.arange(TONE_LEVELS, dtype=np.float32) / np.float32(255.0)) ** np.float32(
         1.0 / gamma
@@ -214,7 +209,7 @@ def _tone_from_spec(spec) -> ToneLUT:
         return ToneLUT(spec["lut"])
     kind = spec.get("kind", "identity")
     if kind == "identity":
-        return identity_tone()
+        return gamma_tone(1.0)
     if kind == "gamma":
         gamma = _number(spec, "gamma", 2.2)
         if not gamma > 0:

@@ -78,11 +78,8 @@ class BenchReport:
         return rows_ok and flow_ok
 
 
-def report_to_dict(r: BenchReport) -> dict:
-    return asdict(r)
-
-
-def report_from_dict(d: dict) -> BenchReport:
+def report_from_json(data: bytes | str) -> BenchReport:
+    d = json.loads(data)  # bytes too: json detects UTF-8
     rows = [VariantRow(**row) for row in d.get("rows", [])]
     pipeline = PipelineSection(**d["pipeline"]) if d.get("pipeline") is not None else None
     return BenchReport(
@@ -92,12 +89,6 @@ def report_from_dict(d: dict) -> BenchReport:
         pipeline=pipeline,
         schema_version=d.get("schema_version", SCHEMA_VERSION),
     )
-
-
-def report_from_json(data: bytes | str) -> BenchReport:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    return report_from_dict(json.loads(data))
 
 
 def _csv_cell(value) -> str:
@@ -181,7 +172,7 @@ def _emit_text(r: BenchReport) -> str:
 
 def emit_report(r: BenchReport, fmt: str) -> bytes:
     if fmt == "json":
-        return (json.dumps(report_to_dict(r), sort_keys=True, indent=2) + "\n").encode("utf-8")
+        return (json.dumps(asdict(r), sort_keys=True, indent=2) + "\n").encode("utf-8")
     if fmt == "csv":
         return _emit_csv(r).encode("utf-8")
     if fmt == "text":

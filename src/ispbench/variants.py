@@ -16,7 +16,7 @@ unoptimized channel-sequential kernel.
 
 A variant run has three parts:
 
-1. the reference kernel, the only part the clock times, so
+1. ``variant_kernel``, the only part the clock times, so
    ``AccessCounters.wall_time`` is the kernel's alone.  Demosaic, denoise,
    transform and tone map run ``kernels.reference_stage`` whatever the
    config; gamut runs the compiled reference loop
@@ -35,6 +35,10 @@ A variant run has three parts:
    accesses depend on the pixel values, so its trace is one pass over the
    whole image with ``repeats=1``, from the LUT rows ``images.tone_index``
    gives.
+
+``run_variant`` runs all three once.  The counters do not change from run to
+run, so further timing reps call ``variant_kernel`` alone, through ``sample``,
+the one timing loop the harness also times the reference kernels with.
 
 R and I change neither the output nor the counters; they only feed the
 analytic model, so rows that differ only in R and I differ in wall time by
@@ -283,25 +287,44 @@ def traffic(
     return counters
 
 
+def sample(reps: int, fn, *args) -> tuple:
+    """Time ``reps`` calls of ``fn(*args)``: the first output (or None) and every call's time."""
+    first, times = None, []
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        out = fn(*args)
+        times.append(time.perf_counter() - t0)
+        if first is None:
+            first = out
+        del out  # only the first output is kept, so at most two are alive
+    return first, times
+
+
+def variant_kernel(stage: str, cfg: VariantConfig, params: PipelineParams):
+    """The kernel a variant runs, as ``data -> PlanarImage``: what its clock times."""
+    if stage != "gamut":
+        return lambda data: reference_stage(stage, data, params)
+    channels = [(0, 1, 2)] if cfg.fused_rewrite else [(c,) for c in range(3)]
+
+    def gamut(data):
+        flat = data.planes.reshape(3, -1)
+        planes = [gamut_point_major(flat, params.gamut, ch, cfg.unroll_factor) for ch in channels]
+        planes = np.concatenate(planes).reshape(data.planes.shape)
+        return PlanarImage(width=data.width, height=data.height, planes=planes)
+
+    return gamut
+
+
 def run_variant(
     stage: str, cfg: VariantConfig, data, params: PipelineParams
 ) -> tuple[PlanarImage, AccessCounters]:
     """Run one instrumented kernel variant; rejects invalid pairings first.
 
-    ``wall_time`` is the kernel's alone: the clock stops before the tone
-    map's LUT rows are taken and ``traffic`` counts the accesses.
+    ``wall_time`` is one ``variant_kernel`` call: the clock stops before the
+    tone map's LUT rows are taken and ``traffic`` counts the accesses.
     """
     cfg.validate_for(stage)
-    t0 = time.perf_counter()
-    if stage == "gamut":
-        flat = data.planes.reshape(3, -1)
-        channels = [(0, 1, 2)] if cfg.fused_rewrite else [(c,) for c in range(3)]
-        planes = [gamut_point_major(flat, params.gamut, ch, cfg.unroll_factor) for ch in channels]
-        planes = np.concatenate(planes).reshape(data.planes.shape)
-        out = PlanarImage(width=data.width, height=data.height, planes=planes)
-    else:
-        out = reference_stage(stage, data, params)
-    wall_time = time.perf_counter() - t0
+    out, (wall_time,) = sample(1, variant_kernel(stage, cfg, params), data)
     indices = tone_index(data.planes).reshape(3, -1) if stage == "tonemap" else None
     counters = traffic(stage, cfg, out.width, out.height, params.gamut.n, indices)
     counters.wall_time = wall_time

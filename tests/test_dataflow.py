@@ -262,6 +262,20 @@ def test_block_scan_equals_the_item_by_item_loop_exactly(case):
     assert _stats(stats) == _stats(want_stats)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    latencies=st.lists(st.integers(1, 199), min_size=1, max_size=6),
+    depth=st.integers(1, 19),
+    items=st.integers(1, 299),
+)
+@example(latencies=[10, 30, 15, 114, 9], depth=64, items=128 * 96)  # stream: 1,400,896
+def test_the_makespan_is_the_chains_latency_then_one_bottleneck_per_item(latencies, depth, items):
+    # an invariant the block scan does not use: the first item crosses every
+    # stage, then the slowest stage paces the other items, whatever the depth
+    _, makespan = simulate_chain([float(v) for v in latencies], items, depth)
+    assert makespan == sum(latencies) + (items - 1) * max(latencies)
+
+
 @pytest.mark.parametrize("latencies", [[1.0, 2.5], [1.0, float("inf")], [float("nan")]])
 def test_non_integral_latencies_raise_value_error(latencies):
     with pytest.raises(ValueError, match="integers"):

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import math
 import statistics
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from ispbench import dataflow, harness
+from ispbench import dataflow, harness, variants
 from ispbench.harness import HarnessConfig, load_harness_inputs, run_matrix
 from ispbench.images import PlanarImage
 from ispbench.kernels import STAGE_NAMES, gamut_map, stage_input
@@ -103,18 +104,44 @@ def test_the_pipeline_stage_reports_shares_summing_to_1_in_stage_order():
 
 
 def test_the_pipeline_stage_averages_every_rep(monkeypatch):
-    runs = []
-    original = harness.run_pipeline
+    # a fake clock on which the n-th reference_stage call takes n seconds
+    clock, calls = [0.0], []
+    original = harness.reference_stage
 
-    def counted(*args, **kwargs):
-        img, times = original(*args, **kwargs)
-        runs.append(times)
-        return img, times
+    def counted(stage, data, params):
+        calls.append(stage)
+        clock[0] += len(calls)
+        return original(stage, data, params)
 
-    monkeypatch.setattr(harness, "run_pipeline", counted)
+    monkeypatch.setattr(harness, "reference_stage", counted)
+    monkeypatch.setattr(variants, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
     cfg = HarnessConfig(stage="pipeline", synth_spec="16x12:noise:1", n_points=5, reps=5)
     p = run_matrix(cfg).pipeline
-    assert len(runs) == 5
-    means = {s: statistics.fmean(run[s] for run in runs) for s in STAGE_NAMES}
+    assert len(calls) == 5 * len(STAGE_NAMES) and set(calls) == set(STAGE_NAMES)
+    means = {s: statistics.fmean(n for n, c in enumerate(calls, 1) if c == s) for s in STAGE_NAMES}
     assert p.stage_times == means
     assert p.stage_shares == {s: t / sum(means.values()) for s, t in means.items()}
+
+
+@pytest.mark.parametrize("stage", STAGE_NAMES)
+def test_traffic_is_counted_once_per_variant_row_whatever_reps(monkeypatch, stage):
+    calls = []
+    original = variants.traffic
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].label())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(variants, "traffic", counted)
+    rows = {}
+    for reps in (1, 3):
+        calls.clear()
+        cfg = HarnessConfig(stage=stage, synth_spec="16x12:noise:1", n_points=5, reps=reps)
+        rows[reps] = run_matrix(cfg).rows
+        assert calls == [row.variant for row in rows[reps]] == list(NAMED_VARIANTS[stage])
+        assert all(0 < row.wall_time_min <= row.wall_time_mean for row in rows[reps])
+
+    def untimed(row):
+        return row.variant, row.status, row.max_deviation, row.counters
+
+    assert [untimed(row) for row in rows[3]] == [untimed(row) for row in rows[1]]

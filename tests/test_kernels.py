@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from ispbench import kernels
 from ispbench.images import PlanarImage, tone_index
 from ispbench.params import GamutParams, ToneLUT, random_gamut
+from ispbench.variants import sample
 
 from _helpers import (
     GAMUT_BLOCK,
@@ -437,6 +438,8 @@ def gamut_child(root, prelude: str = "") -> subprocess.Popen:
 def test_two_cold_imports_at_once_both_build_and_agree(tmp_path):
     package = Path(kernels.__file__).parent
     shutil.copytree(package, tmp_path / "ispbench", ignore=shutil.ignore_patterns("__pycache__"))
+    (tmp_path / "ispbench" / "__pycache__").mkdir()
+    (tmp_path / "ispbench" / "__pycache__" / "_gamut-0123456789abcdef.so").write_bytes(b"stale")
     children = [gamut_child(tmp_path) for _ in range(2)]
     results = [child.communicate(timeout=120) + (child.returncode,) for child in children]
     assert [code for _, _, code in results] == [0, 0], results
@@ -444,7 +447,7 @@ def test_two_cold_imports_at_once_both_build_and_agree(tmp_path):
     out = kernels.gamut_point_major(flat, random_gamut(40, 7), (0, 1, 2), 3)
     assert {stdout.strip() for stdout, _, _ in results} == {hashlib.sha256(out.tobytes()).hexdigest()}
     built = sorted(p.name for p in (tmp_path / "ispbench" / "__pycache__").glob("_gamut*"))
-    assert len(built) == 1 and built[0].endswith(".so"), built  # no temporary left
+    assert len(built) == 1 and built[0].endswith(".so"), built  # no stale build, no temporary
 
 
 def test_a_warm_import_starts_no_process():
@@ -523,11 +526,16 @@ def test_unknown_stage_raises_value_error(stage):
 
 
 def test_run_pipeline_times_every_stage_in_order():
+    # run_pipeline only chains; a caller times each stage's call with variants.sample
     raw, params = rand_raw(8, 6), rand_params(5)
-    img, times = kernels.run_pipeline(raw, params, with_times=True)
-    assert list(times) == list(kernels.STAGE_NAMES)
-    assert all(t >= 0 for t in times.values())
+    img, times = raw, []
+    for stage in kernels.STAGE_NAMES:
+        img, samples = sample(2, kernels.reference_stage, stage, img, params)
+        times += samples
+    assert len(times) == 2 * len(kernels.STAGE_NAMES) and all(t >= 0 for t in times)
     assert as_bytes(img) == as_bytes(kernels.run_pipeline(raw, params))
+    with pytest.raises(TypeError):
+        kernels.run_pipeline(raw, params, with_times=True)
 
 
 def test_the_chain_looks_each_kernel_up_at_call_time(monkeypatch):

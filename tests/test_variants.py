@@ -22,6 +22,7 @@ from ispbench.variants import (
     max_rel_deviation,
     parse_variant,
     run_variant,
+    sample,
     traffic,
     valid_variant_space,
 )
@@ -247,6 +248,14 @@ def test_wall_time_is_the_kernels_alone(monkeypatch, stage):
     params = rand_params(3, seed=2)
     data = rand_raw(16, 10, seed=5) if stage == "demosaic" else rand_planar(16, 10, seed=5)
     assert run_variant(stage, VariantConfig(), data, params)[1].wall_time < 0.2
+
+
+def test_sample_times_every_call_and_keeps_the_first_output():
+    outputs = iter(range(5))
+    first, times = sample(3, lambda: next(outputs))
+    assert first == 0 and len(times) == 3 and all(t >= 0 for t in times)
+    assert next(outputs) == 3
+    assert sample(0, lambda: 1 / 0) == (None, [])
 
 
 def test_every_tone_map_variant_runs_the_reference_tone_map_once(monkeypatch):

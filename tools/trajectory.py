@@ -12,10 +12,12 @@ same seed.
 
 The file gets, per workload: the median, quartiles (``numpy.percentile``,
 linear), interquartile range, minimum and maximum of each metric on each
-side, the check counts, in how many pairs the change read lower, each run,
-and ``op_s`` per checkout name. Workloads go under ``--section``
-(``workloads`` by default); an existing file keeps its other entries, and it
-is rewritten after every workload.
+side, the check counts, each side's short commit and line counts, in how
+many pairs the change read lower, each run, and ``op_s`` per checkout name.
+Workloads go under ``--section`` (``workloads`` by default); an existing
+file keeps its other entries, the header included (``what``, ``method``,
+``src_lines``, ``c_lines`` describe the first section written), and it is
+rewritten after every workload.
 
 There is no gate: the change is printed beside the newest earlier BENCH
 file's figures for reading only. Host load moves ``op_s`` by up to ~50 %
@@ -76,9 +78,8 @@ def summary(values: list[float]) -> dict[str, float]:
             "min": round(min(values), 6), "max": round(max(values), 6)}
 
 
-def pairs_for(args, workload: str, work: Path) -> tuple[dict, dict]:
+def pairs_for(args, revs: dict, workload: str, work: Path) -> tuple[dict, dict]:
     """The workload's entry for the file, and the meta lines of its first change run."""
-    revs = {"parent": args.parent, "change": args.change}
     runs = []
     for p in range(args.pairs):
         seed, suffix, parent_first = args.seed0 + p, SUFFIXES[p % len(SUFFIXES)], p % 2 == 0
@@ -102,6 +103,7 @@ def pairs_for(args, workload: str, work: Path) -> tuple[dict, dict]:
             attempted=sum(r[side]["attempted"] for r in runs),
             failed=sum(r[side]["failed"] for r in runs),
             all_correct=all(r[side]["failed"] == 0 for r in runs),
+            rev=revs[side],
             src_lines=sorted({r[side]["meta"].get("meta.src_lines", "?") for r in runs}),
             c_lines=sorted({r[side]["c_lines"] for r in runs}),
         )
@@ -179,13 +181,12 @@ def main(argv=None) -> int:
     section = doc.setdefault(args.section, {})
     with tempfile.TemporaryDirectory(prefix="trajectory-", dir=args.workdir) as work:
         for workload in args.workloads.split(","):
-            res, meta = pairs_for(args, workload, Path(work))
+            res, meta = pairs_for(args, revs, workload, Path(work))
             doc.setdefault("host", "{} CPUs {}, L2 {}, Python {}, NumPy {}".format(
                 meta.get("meta.nproc"), meta.get("meta.cpu_model"), meta.get("meta.l2_size"),
                 meta.get("meta.python"), meta.get("meta.numpy")))
-            for side in SIDES:
-                doc.setdefault("src_lines", {})[side] = int(res[side]["src_lines"][0])
-                doc.setdefault("c_lines", {})[side] = res[side]["c_lines"][0]
+            doc.setdefault("src_lines", {side: int(res[side]["src_lines"][0]) for side in SIDES})
+            doc.setdefault("c_lines", {side: res[side]["c_lines"][0] for side in SIDES})
             section[workload] = res
             out.write_text(json.dumps(doc, indent=1) + "\n")
     print_against_earlier(doc, args.section, args.bench)
