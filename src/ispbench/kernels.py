@@ -18,10 +18,10 @@ package's ``__pycache__``, under a name keyed by the source, the flags and
 the host CPU's flags, and loaded from there afterwards without starting a
 process. A build removes the other builds there (of an older source, other
 flags or another CPU). A missing or failing compiler is an ``ImportError``
-that names the command. The loop walks blocks of 64 pixels outside and the control points
-inside, so a block's sums stay in registers, and it keeps the float32 order
-above: built with ``-ffp-contract=off`` and without ``-ffast-math``, no
-multiply is fused into its add and subnormals are kept.
+that names the command. The loop walks blocks of 64 pixels outside and the
+control points inside, so a block's sums stay in registers, and it keeps
+the float32 order above: built with ``-ffp-contract=off`` and without
+``-ffast-math``, no multiply is fused into its add and subnormals are kept.
 
 The 3x3 median is Paeth's 19-exchange network (Devillard's opt_med9) in two
 parts: ``_sort3`` sorts each row's horizontal triple in 6 ufunc calls, and
