@@ -3,14 +3,14 @@
 The five stages run as workers joined by bounded FIFO channels.  One channel
 item is one image row that no other item shares.  The first stage demosaics
 the whole mosaic (it needs a row window, not a stream) and feeds its rows,
-``(3, w)`` float32 arrays, to the first channel; the median stage sorts each
-row's horizontal triples once, keeps those of the last three rows, and emits
-the median of one row once the row below it arrives, through the same two
-functions as ``denoise``, as a one-row ``PlanarImage``; the remaining stages
-are pointwise and pass their kernel's one-row output image on.  Arithmetic
-is delegated to the reference kernels, so the output is bit-identical to the
-sequential pipeline in any interleaving.  ``ChannelConfig.depth`` counts
-pixels; a channel holds ``ceil(depth / w)`` rows.
+``(3, w)`` float32 arrays, to the first channel; the median stage keeps the
+last three rows and emits the median of one row once the row below it
+arrives, through the compiled median body that ``denoise`` runs, as a one-row
+``PlanarImage``; the remaining stages are pointwise and pass their kernel's
+one-row output image on.  Arithmetic is delegated to the reference kernels,
+so the output is bit-identical to the sequential pipeline in any
+interleaving.  ``ChannelConfig.depth`` counts pixels; a channel holds
+``ceil(depth / w)`` rows.
 
 Two clocks are supported:
 
@@ -23,10 +23,11 @@ Two clocks are supported:
   into push and pop follows the downstream-first resume order, not the
   stages' speeds: with one-row FIFOs each consumer empties its input before
   its producer runs again, so a middle stage's waiting lands in
-  ``blocked_pop`` and its ``blocked_push`` reads about 0.  And at narrow
-  rows a stage's busy time is mostly the fixed cost of each NumPy call
-  (some microseconds), not arithmetic, so it scales with the calls per row
-  more than with the pixels or the points.
+  ``blocked_pop`` and its ``blocked_push`` reads about 0.  And every stage
+  but the first makes one compiled call per row, so at narrow rows its busy
+  time is mostly that call's fixed cost (``ctypes`` argument set-up and the
+  row's ``PlanarImage``, some microseconds), not arithmetic: it scales with
+  the rows more than with the pixels, and only gamut's with the points.
 * ``virtual`` -- the exact timing of the same network with one item per
   pixel and ``depth`` pixels per channel, in closed form: a max-plus scan
   over blocks of ``depth`` items that stops once the chain turns periodic.
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .images import PlanarImage, RawBayerImage
-from .kernels import STAGE_NAMES, STAGES, _median_of_sorted, _sort3, run_pipeline
+from .kernels import STAGE_NAMES, STAGES, _median_row, run_pipeline
 # module attributes that tracers patch by name: ``denoise`` is not called here, and
 # the pointwise workers look theirs up by name at call time
 from .kernels import demosaic, denoise, gamut_map, tone_map, transform
@@ -228,42 +229,20 @@ def _run_chain(raw, stages, depth: int, width: int) -> tuple[list[StageStats], l
 def _denoise_rows(width: int, height: int):
     """Median worker: row ``y - 1`` once row ``y`` arrives, the last row at the end.
 
-    Each arriving row is edge-padded and its horizontal triples sorted once
-    (``_sort3``); the window keeps the sorted triples of the last three rows.
-    A row's median merges the [prev, cur, next] triples
-    (``_median_of_sorted``), with the top and bottom rows replicated, so it
-    matches ``denoise`` bit for bit. Each call merges only the row it emits.
-
-    As in ``denoise``, the padded row is worked on flat, one contiguous pass
-    per step (NumPy buffers strided operands); the positions that straddle a
-    channel edge are computed and dropped, so an emitted row's planes are a
-    ``(3, 1, w)`` view of a fresh ``(3, w + 2)`` array. The padded row, the
-    triples and the merge scratch are allocated once per run. The triples go
-    round a ring of three blocks: an arriving row overwrites the one three
-    rows up, which no later median reads.
+    The window keeps the last three arriving rows. A row's median is one
+    call of ``_median_row`` on the [prev, cur, next] rows, with the top and
+    bottom rows replicated, so it matches ``denoise`` bit for bit; each call
+    computes only the row it emits, and allocates only that row.
     """
-    pw = width + 2  # padded row length
-    k = 3 * pw - 2  # flat positions that start a horizontal triple
-    pad = np.empty((3, pw), np.float32)
-    flat = pad.reshape(-1)
-    a, b, c = flat[:k], flat[1:][:k], flat[2:]
-    # views built once: a view costs about as much as a ufunc call on one row
-    ring = [tuple(block) for block in np.empty((3, 3, k), np.float32)]  # per row: lo, mid, hi
-    scratch = tuple(np.empty((3, k), np.float32))
-    window: deque[tuple] = deque(maxlen=3)  # the trailing rows' blocks of the ring
+    window: deque[np.ndarray] = deque(maxlen=3)
     seen = 0
 
     def median(top, middle, bottom):
-        out = np.empty((3, pw), np.float32)
-        _median_of_sorted(top, middle, bottom, out.reshape(-1)[:k], *scratch)
-        return PlanarImage(width, 1, out[:, None, :width])
+        return PlanarImage(width, 1, _median_row(top, middle, bottom))
 
     def process(row):
         nonlocal seen
-        np.concatenate((row[:, :1], row, row[:, -1:]), axis=1, out=pad)
-        triples = ring[seen % 3]
-        _sort3(a, b, c, *triples, scratch[0])
-        window.append(triples)
+        window.append(row)
         seen += 1
         emit = [median(window[0], window[-2], window[-1])] if seen >= 2 else []
         if seen == height:

@@ -34,17 +34,6 @@ class ImageFormatError(ValueError):
         self.offset = offset
 
 
-def _quantize(values: np.ndarray, scaled: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``rows[...] = clamp(floor(values * 255 + 0.5), 0, 255)``; ``scaled`` is float32 scratch."""
-    np.multiply(values, np.float32(255.0), out=scaled)
-    scaled += np.float32(0.5)
-    np.floor(scaled, out=scaled)
-    np.fmax(scaled, np.float32(0.0), out=scaled)
-    np.fmin(scaled, np.float32(255.0), out=scaled)
-    rows[...] = scaled  # an assignment casts unsafely: truncates, and scaled is integral
-    return rows
-
-
 def tone_index(values: np.ndarray) -> np.ndarray:
     """Quantize to 8 bits: clamp(round(v*255), 0, 255), ties away from 0.
 
@@ -53,7 +42,12 @@ def tone_index(values: np.ndarray) -> np.ndarray:
     any ``x < 0`` clamps to row 0 either way. NaN maps to row 0 (``fmax``
     prefers the non-NaN operand), +inf to 255, -inf and -0.0 to 0.
     """
-    return _quantize(values, np.empty_like(values), np.empty(values.shape, np.int64))
+    scaled = values * np.float32(255.0)
+    scaled += np.float32(0.5)
+    np.floor(scaled, out=scaled)
+    np.fmax(scaled, np.float32(0.0), out=scaled)
+    np.fmin(scaled, np.float32(255.0), out=scaled)
+    return scaled.astype(np.int64)  # scaled is integral
 
 
 @dataclass(frozen=True)

@@ -28,8 +28,8 @@ from ispbench.params import (
 
 F = np.float32
 
-# pixels per block of the compiled gamut loop, read from its source
-GAMUT_SOURCE = Path(kernels.__file__).with_name("_gamut.c")
+# pixels per block of the compiled gamut loop, read from the compiled kernels' source
+GAMUT_SOURCE = Path(kernels.__file__).with_name("_kernels.c")
 GAMUT_BLOCK = int(re.search(r"#define BLOCK (\d+)", GAMUT_SOURCE.read_text())[1])
 
 

@@ -16,12 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ispbench import kernels
-from ispbench.images import PlanarImage, tone_index
-from ispbench.params import GamutParams, ToneLUT, random_gamut
+from ispbench.images import PlanarImage, RawBayerImage, tone_index
+from ispbench.params import GamutParams, ToneLUT, TransformMatrix, random_gamut
 from ispbench.variants import sample
 
 from _helpers import (
     GAMUT_BLOCK,
+    F,
     GAMUT_SOURCE,
     demosaic_oracle,
     denoise_oracle,
@@ -73,47 +74,59 @@ def test_denoise_matches_oracle_bit_for_bit(w, h):
         assert np.array_equal(bits(kernels.denoise(img)), bits(denoise_oracle(img)))
 
 
-# strips of 1, 2 and 3 rows
+# the input is a strip cut from a larger buffer: its rows are 3 elements
+# longer than the image, its planes a row apart, and it starts 1, 3w - 1 or
+# 3w + 1 elements into the buffer, so its rows start off the vector alignment
 STRIPS = pytest.mark.parametrize(
     "strip", [lambda w: 1, lambda w: 3 * w - 1, lambda w: 3 * w + 1], ids=["1", "3w-1", "3w+1"]
 )
 
 
+def cut_strip(a: np.ndarray, offset: int) -> np.ndarray:
+    """``a`` (..., h, w) copied into a view of a larger buffer, starting ``offset`` elements in."""
+    *lead, h, w = a.shape
+    padded = (*[n for n in lead], h + 1, w + 3)
+    buf = np.full(offset + int(np.prod(padded)), np.nan, np.float32)
+    view = buf[offset:].reshape(padded)[..., :h, :w]
+    view[...] = a
+    return view
+
+
+def strip_image(img: PlanarImage, offset: int) -> PlanarImage:
+    return PlanarImage(width=img.width, height=img.height, planes=cut_strip(img.planes, offset))
+
+
 @pytest.mark.parametrize("w,h", [(7, 5), (34, 19)])
 @STRIPS
-def test_denoise_strip_edges(monkeypatch, w, h, strip):
-    # strips of 1, 2 and 3 rows; h leaves a shorter last strip for 2 and 3
-    monkeypatch.setattr(kernels, "STRIP_PIXELS", strip(w))
+def test_denoise_strip_edges(w, h, strip):
     for img in (rand_planar(w, h, seed=3), three_valued(w, h, seed=4)):
-        assert np.array_equal(bits(kernels.denoise(img)), bits(denoise_oracle(img)))
+        got = kernels.denoise(strip_image(img, strip(w)))
+        assert np.array_equal(bits(got), bits(denoise_oracle(img)))
 
 
 @pytest.mark.parametrize("w,h", [(1, 1), (7, 5), (34, 19)])
 @STRIPS
-def test_denoise_equals_sorted_median_on_the_whole_padded_image(monkeypatch, w, h, strip):
-    monkeypatch.setattr(kernels, "STRIP_PIXELS", strip(w))
+def test_denoise_equals_sorted_median_on_the_whole_padded_image(w, h, strip):
     rng = np.random.default_rng(w + h)
     planes = rng.choice(np.array([0.0, -0.0, 0.5, np.nan, -np.inf], np.float32), size=(3, h, w))
-    img = PlanarImage(width=w, height=h, planes=planes)
-    before = planes.tobytes()
+    img = strip_image(PlanarImage(width=w, height=h, planes=planes), strip(w))
+    before = img.planes.base.tobytes()
     want = sorted_median(img)
     got = kernels.denoise(img).planes
-    assert planes.tobytes() == before  # the input is not written
+    assert img.planes.base.tobytes() == before  # the input is not written
     assert np.array_equal(got, want, equal_nan=True)
-    # zeros compare by value: on a +0/-0 tie, np.fmin's SIMD loop can return either
-    # operand depending on the element's place in the loop, not on the operands
-    # (NumPy 2.4 with AVX-512: over 40 contiguous (+0, -0) pairs, -0 at all but index 32)
+    # zeros compare by value: on a +0/-0 tie the network keeps an exchange's
+    # first operand, np.sort the stable order
     nonzero = got != 0  # NaN included: a NaN median is a window element, payload and all
     assert np.array_equal(got[nonzero].view(np.uint32), want[nonzero].view(np.uint32))
 
 
 @pytest.mark.parametrize("w,h", [(2, 2), (6, 10), (34, 10)])
 @STRIPS
-def test_demosaic_strip_edges(monkeypatch, w, h, strip):
-    # mosaic heights are even: 3-row strips start on odd rows and leave a 1-row last strip
-    monkeypatch.setattr(kernels, "STRIP_PIXELS", strip(w))
+def test_demosaic_strip_edges(w, h, strip):
     raw = rand_raw(w, h, seed=w * h)
-    assert np.array_equal(bits(kernels.demosaic(raw)), bits(demosaic_oracle(raw)))
+    cut = RawBayerImage(width=w, height=h, mosaic=cut_strip(raw.mosaic, strip(w)))
+    assert np.array_equal(bits(kernels.demosaic(cut)), bits(demosaic_oracle(raw)))
 
 
 def special_values(w: int, h: int, seed: int) -> PlanarImage:
@@ -134,16 +147,17 @@ def transform_by_planes(img: PlanarImage, m) -> np.ndarray:
 
 @pytest.mark.parametrize("w,h", [(1, 1), (7, 5), (34, 19)])
 @STRIPS
-def test_transform_strip_edges_and_special_values(monkeypatch, w, h, strip):
+def test_transform_strip_edges_and_special_values(w, h, strip):
     # the scalar oracle's inf - inf NaN differs in sign from an array add's, so
     # special values are checked against whole-plane array arithmetic
-    monkeypatch.setattr(kernels, "STRIP_PIXELS", strip(w))
     m = rand_params(4).transform
     plain, special = rand_planar(w, h, seed=5, lo=-0.2, hi=1.2), special_values(w, h, seed=6)
-    assert kernels.transform(plain, m).planes.tobytes() == transform_oracle(plain, m).planes.tobytes()
+    got = kernels.transform(strip_image(plain, strip(w)), m)
+    assert got.planes.tobytes() == transform_oracle(plain, m).planes.tobytes()
     with np.errstate(invalid="ignore"):  # inf - inf
         for img in (plain, special):
-            assert kernels.transform(img, m).planes.tobytes() == transform_by_planes(img, m).tobytes()
+            got = kernels.transform(strip_image(img, strip(w)), m)
+            assert got.planes.tobytes() == transform_by_planes(img, m).tobytes()
 
 
 def tone_by_planes(img: PlanarImage, t: ToneLUT) -> np.ndarray:
@@ -153,18 +167,123 @@ def tone_by_planes(img: PlanarImage, t: ToneLUT) -> np.ndarray:
 
 @pytest.mark.parametrize("w,h", [(1, 1), (7, 5), (34, 19)])
 @STRIPS
-def test_tone_map_strip_edges_and_special_values(monkeypatch, w, h, strip):
-    monkeypatch.setattr(kernels, "STRIP_PIXELS", strip(w))
+def test_tone_map_strip_edges_and_special_values(w, h, strip):
     t = rand_params(4).tone
     plain, special = rand_planar(w, h, seed=7, lo=-0.2, hi=1.2), special_values(w, h, seed=8)
-    assert kernels.tone_map(plain, t) == tone_oracle(plain, t)
+    assert kernels.tone_map(strip_image(plain, strip(w)), t) == tone_oracle(plain, t)
     for img in (plain, special):
-        assert kernels.tone_map(img, t).planes.tobytes() == tone_by_planes(img, t).tobytes()
+        got = kernels.tone_map(strip_image(img, strip(w)), t)
+        assert got.planes.tobytes() == tone_by_planes(img, t).tobytes()
+
+
+def test_cheap_kernels_copy_an_input_whose_row_pixels_are_not_adjacent():
+    # reversed columns (a negative pixel stride) and a Fortran-order mosaic
+    params = rand_params(4)
+    img = rand_planar(9, 4, seed=2, lo=-0.2, hi=1.2)
+    flipped = PlanarImage(width=9, height=4, planes=img.planes[:, :, ::-1])
+    plain = PlanarImage(width=9, height=4, planes=flipped.planes.copy())
+    for kernel, args in (
+        ("denoise", ()), ("transform", (params.transform,)), ("tone_map", (params.tone,))
+    ):
+        got = getattr(kernels, kernel)(flipped, *args).planes
+        assert got.tobytes() == getattr(kernels, kernel)(plain, *args).planes.tobytes(), kernel
+    raw = rand_raw(6, 4, seed=1)
+    fortran = RawBayerImage(width=6, height=4, mosaic=np.asfortranarray(raw.mosaic))
+    assert kernels.demosaic(fortran).planes.tobytes() == kernels.demosaic(raw).planes.tobytes()
+
+
+def test_median_row_rejects_rows_of_other_shapes():
+    row = rand_planar(5, 1).planes[:, 0]
+    with pytest.raises(ValueError, match=r"\(3, w\) rows"):
+        kernels._median_row(row, row, row[:, :4])
+    with pytest.raises(ValueError, match=r"\(3, w\) rows"):
+        kernels._median_row(row[:2], row[:2], row[:2])
+
+
+# widths on either side of the compiled loops' 16- and 64-float vector steps
+VECTOR_WIDTHS = [1, 2, 15, 16, 17, 63, 64, 65]
+
+
+@pytest.mark.parametrize("w", VECTOR_WIDTHS)
+def test_cheap_kernels_match_oracles_at_vector_widths(w):
+    params = rand_params(4)
+    m, t = params.transform, params.tone
+    for h in (1, 2, 3, 5):
+        plain = rand_planar(w, h, seed=w * h, lo=-0.2, hi=1.2)
+        special = special_values(w, h, seed=w + h)
+        assert np.array_equal(bits(kernels.denoise(plain)), bits(denoise_oracle(plain))), h
+        got = kernels.denoise(special).planes
+        assert np.array_equal(got, sorted_median(special), equal_nan=True), h
+        assert np.array_equal(
+            bits(kernels.transform(plain, m)), bits(transform_oracle(plain, m))
+        ), h
+        assert kernels.tone_map(plain, t) == tone_oracle(plain, t), h
+        with np.errstate(invalid="ignore"):  # inf - inf
+            got = kernels.transform(special, m).planes
+            assert got.tobytes() == transform_by_planes(special, m).tobytes(), h
+        assert kernels.tone_map(special, t).planes.tobytes() == tone_by_planes(special, t).tobytes()
+
+
+@pytest.mark.parametrize("w", [2, 14, 16, 18, 62, 64, 66])
+def test_demosaic_matches_oracle_at_vector_widths(w):
+    for h in (2, 4, 6):
+        raw = rand_raw(w, h, seed=w * h)
+        assert np.array_equal(bits(kernels.demosaic(raw)), bits(demosaic_oracle(raw))), h
+
+
+def test_transform_does_not_fuse_a_multiply_into_its_add():
+    # pixel (3, 3, 3) and w1 = 1 + 2^-23: -3 + fl(3 * w1) = 2^-21 in rows 0
+    # and 1, while a fused multiply-add rounds once to 3 * 2^-23
+    w1 = np.float32(1 + 2**-23)
+    assert np.float64(-3) + np.float64(3) * np.float64(w1) == 3 * 2**-23  # exact
+    m = TransformMatrix(np.array([[-1, w1, 0], [0, -1, w1], [w1, 0, -1]], np.float32))
+    img = PlanarImage(width=1, height=1, planes=np.full((3, 1, 1), 3, np.float32))
+    out = kernels.transform(img, m).planes.ravel()
+    assert out.tolist() == [2**-21] * 3
+    assert np.array_equal(out.view(np.uint32), bits(transform_oracle(img, m)).ravel())
+
+
+def test_demosaic_sums_its_neighbors_in_the_documented_order():
+    # R site (2, 2) with up 1, down and left 2^-24, right 0: up, down, left,
+    # right rounds 1 + 2^-24 to 1 twice, so G is 0.25; summed right to left,
+    # the two 2^-24 would add to 2^-23 first and G would be 0.25 + 2^-25
+    mosaic = np.zeros((6, 6), np.float32)
+    mosaic[1, 2], mosaic[3, 2], mosaic[2, 1] = 1, 2**-24, 2**-24
+    raw = RawBayerImage(width=6, height=6, mosaic=mosaic)
+    right_to_left = ((F(0) + F(2**-24)) + F(2**-24)) + F(1)
+    assert right_to_left * F(0.25) == F(0.25 + 2**-25)
+    got = kernels.demosaic(raw)
+    assert got.planes[1, 2, 2] == F(0.25)
+    assert np.array_equal(bits(got), bits(demosaic_oracle(raw)))
+
+
+def test_tone_map_rows_equal_tone_index_at_every_rounding_edge():
+    # the 5 float32 values either side of each (k + 0.5) / 255 (k = 0..255),
+    # the exact quotient's float32, and NaN, +-inf, +-0, subnormals and +-1e30
+    edges = (np.arange(256) + 0.5) / 255
+    near = edges.astype(np.float32)
+    steps = [near]
+    for direction in (np.inf, -np.inf):
+        v = near
+        for _ in range(5):
+            v = np.nextafter(v, np.float32(direction))
+            steps.append(v)
+    special = np.float32([np.nan, np.inf, -np.inf, 0.0, -0.0, 1e-40, -1e-40, 1e-45, 1e30, -1e30])
+    values = np.concatenate(steps + [special])
+    # LUT row k holds k + 1000 * channel, so the output names the row it read
+    lut = ToneLUT(np.arange(256)[:, None] + 1000.0 * np.arange(3))
+    img = PlanarImage(width=values.size, height=1, planes=np.tile(values, (3, 1, 1)))
+    with np.errstate(over="ignore"):  # 1e30 * 255
+        want = tone_index(values)
+    got = kernels.tone_map(img, lut).planes[:, 0]
+    assert np.array_equal(got, want + 1000.0 * np.arange(3)[:, None])
+    assert set(want[-len(special):]) == {0, 255} and np.unique(want).size == 256
 
 
 @pytest.mark.parametrize("kernel", ["demosaic", "denoise", "transform", "tone_map"])
 def test_cheap_kernels_allocate_under_half_their_output_besides_it(kernel):
-    # 768x512: strip scratch, not frame-sized temporaries
+    # 768x512: the compiled loops allocate no scratch; what a call allocates
+    # besides its output is Python objects
     params = rand_params(4)
     raw, img = rand_raw(768, 512), rand_planar(768, 512, lo=-0.2, hi=1.2)
     args = {
@@ -179,7 +298,7 @@ def test_cheap_kernels_allocate_under_half_their_output_besides_it(kernel):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - out.planes.nbytes < out.planes.nbytes / 2
+    assert peak - out.planes.nbytes < min(out.planes.nbytes / 2, 4096)
 
 
 @pytest.mark.parametrize("channels, unroll", [((0, 1, 2), 1), ((1,), 6)])
@@ -402,7 +521,7 @@ def test_importing_ispbench_leaves_subnormals_on():
 
 def test_a_missing_compiler_is_an_import_error_that_names_it(tmp_path):
     with pytest.raises(ImportError, match="no-such-cc"):
-        kernels._build(GAMUT_SOURCE, tmp_path / "gamut.so", cc="no-such-cc")
+        kernels._build(GAMUT_SOURCE, tmp_path / "kernels.so", cc="no-such-cc")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -439,14 +558,14 @@ def test_two_cold_imports_at_once_both_build_and_agree(tmp_path):
     package = Path(kernels.__file__).parent
     shutil.copytree(package, tmp_path / "ispbench", ignore=shutil.ignore_patterns("__pycache__"))
     (tmp_path / "ispbench" / "__pycache__").mkdir()
-    (tmp_path / "ispbench" / "__pycache__" / "_gamut-0123456789abcdef.so").write_bytes(b"stale")
+    (tmp_path / "ispbench" / "__pycache__" / "_kernels-0123456789abcdef.so").write_bytes(b"stale")
     children = [gamut_child(tmp_path) for _ in range(2)]
     results = [child.communicate(timeout=120) + (child.returncode,) for child in children]
     assert [code for _, _, code in results] == [0, 0], results
     flat = np.random.default_rng(0).random((3, 77), dtype=np.float32)
     out = kernels.gamut_point_major(flat, random_gamut(40, 7), (0, 1, 2), 3)
     assert {stdout.strip() for stdout, _, _ in results} == {hashlib.sha256(out.tobytes()).hexdigest()}
-    built = sorted(p.name for p in (tmp_path / "ispbench" / "__pycache__").glob("_gamut*"))
+    built = sorted(p.name for p in (tmp_path / "ispbench" / "__pycache__").glob("_kernels*"))
     assert len(built) == 1 and built[0].endswith(".so"), built  # no stale build, no temporary
 
 
