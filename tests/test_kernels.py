@@ -85,7 +85,7 @@ STRIPS = pytest.mark.parametrize(
 def cut_strip(a: np.ndarray, offset: int) -> np.ndarray:
     """``a`` (..., h, w) copied into a view of a larger buffer, starting ``offset`` elements in."""
     *lead, h, w = a.shape
-    padded = (*[n for n in lead], h + 1, w + 3)
+    padded = (*lead, h + 1, w + 3)
     buf = np.full(offset + int(np.prod(padded)), np.nan, np.float32)
     view = buf[offset:].reshape(padded)[..., :h, :w]
     view[...] = a
