@@ -21,10 +21,8 @@ from .images import (
     PlanarImage,
     RawBayerImage,
     load_ppm,
-    load_raw_planar,
     mosaic_from_planar,
     save_ppm,
-    save_raw_planar,
     synth_bayer,
 )
 from .kernels import (

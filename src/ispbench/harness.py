@@ -4,9 +4,10 @@ Kernel inputs come from the reference chain up to the requested stage.  The
 reference, each passing variant and, at stage ``pipeline``, each stage take
 ``reps`` samples through ``variants.sample``.  The reference's first sample
 is the output the gate checks; a variant's first is ``run_variant``'s, with
-the row's counters, and its other ``reps - 1`` time ``variant_kernel`` alone,
-so ``traffic`` runs once per row.  A variant that fails the gate is reported
-as FAILED with its maximum deviation and is not timed again.
+the row's counters and first time, and its other ``reps - 1`` time
+``variant_kernel`` alone, so ``traffic`` runs once per row.  A variant that
+fails the gate is reported as FAILED with its maximum deviation and is not
+timed again.
 """
 
 from __future__ import annotations
@@ -194,7 +195,7 @@ def run_matrix(cfg: HarnessConfig, perturb=None) -> BenchReport:
     labels = cfg.variants or list(NAMED_VARIANTS[stage])
     for label in labels:
         vcfg = cfg.variant_config(label)
-        out, counters = run_variant(stage, vcfg, data, params)
+        out, counters, seconds = run_variant(stage, vcfg, data, params)
         if perturb is not None:
             out = perturb(stage, label, out)
         tol = equivalence_tolerance(stage, vcfg)
@@ -210,7 +211,7 @@ def run_matrix(cfg: HarnessConfig, perturb=None) -> BenchReport:
             status="PASS" if passed else "FAILED",
             max_deviation=deviation,
             tolerance=tol,
-            counters=counters.traffic_fields(),
+            counters=dataclasses.asdict(counters),
             optimization_report=estimate.as_dict(),
         )
         report.rows.append(row)
@@ -218,7 +219,7 @@ def run_matrix(cfg: HarnessConfig, perturb=None) -> BenchReport:
             row.note = "equivalence check failed; excluded from timing"
             continue
         _, extra = sample(cfg.reps - 1, variant_kernel(stage, vcfg, params), data)
-        samples = [counters.wall_time, *extra]
+        samples = [seconds, *extra]
         row.wall_time_mean, row.wall_time_min = statistics.fmean(samples), min(samples)
         row.speedup = ref_mean / row.wall_time_mean
     return report

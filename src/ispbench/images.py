@@ -9,9 +9,7 @@ Two containers are used throughout:
   followed by all G rows, followed by all B rows, which is also the memory
   layout the benchmark kernels assume.
 
-On-disk formats: binary PPM (P6, 8-bit) for interchange, and a trivial raw
-planar dump (little-endian IEEE-754 float32, plane-major) for bit-exact
-round trips.
+On disk, images are binary PPM (P6, 8-bit).
 """
 
 from __future__ import annotations
@@ -173,50 +171,6 @@ def save_ppm(img: PlanarImage, path: str | Path) -> None:
     interleaved = np.ascontiguousarray(bytes8.transpose(1, 2, 0))
     header = f"P6{LINE}{img.width} {img.height}{LINE}255{LINE}".encode("ascii")
     Path(path).write_bytes(header + interleaved.tobytes())
-
-
-# ---------------------------------------------------------------------------
-# Raw planar float32 dumps
-# ---------------------------------------------------------------------------
-
-def load_raw_planar(
-    path: str | Path, width: int, height: int, planes: int | None = None
-) -> RawBayerImage | PlanarImage:
-    """Load a raw planar float32 file (little-endian, plane-major).
-
-    One plane yields a ``RawBayerImage``, three a ``PlanarImage``.  When
-    ``planes`` is None the plane count is inferred from the file size.
-    """
-    data = Path(path).read_bytes()
-    per_plane = 4 * width * height
-    if planes is None:
-        if per_plane and len(data) == per_plane:
-            planes = 1
-        elif per_plane and len(data) == 3 * per_plane:
-            planes = 3
-        else:
-            raise ImageFormatError(
-                f"file is {len(data)} bytes; expected {per_plane} (1 plane) or "
-                f"{3 * per_plane} (3 planes) for {width}x{height}"
-            )
-    expected = per_plane * planes
-    if len(data) != expected:
-        raise ImageFormatError(
-            f"length mismatch: expected {expected} bytes "
-            f"({width}x{height}x{planes} float32), got {len(data)}"
-        )
-    values = np.frombuffer(data, dtype="<f4").astype(np.float32, copy=True)
-    if planes == 1:
-        return RawBayerImage(width=width, height=height, mosaic=values.reshape(height, width))
-    if planes == 3:
-        return PlanarImage(width=width, height=height, planes=values.reshape(3, height, width))
-    raise ImageFormatError(f"unsupported plane count {planes}, expected 1 or 3")
-
-
-def save_raw_planar(img: RawBayerImage | PlanarImage, path: str | Path) -> None:
-    """Write the bit-exact raw planar dump read back by ``load_raw_planar``."""
-    array = img.mosaic if isinstance(img, RawBayerImage) else img.planes
-    Path(path).write_bytes(np.ascontiguousarray(array, dtype="<f4").tobytes())
 
 
 def mosaic_from_planar(img: PlanarImage) -> RawBayerImage:

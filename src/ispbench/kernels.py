@@ -210,7 +210,8 @@ def gamut_point_major(
     then the lanes fold left to right and the bias terms follow in order.
     ``unroll=1`` is the reference order. ``channels`` must be a contiguous
     run of channel indices. One call of the compiled loop; besides its
-    output it allocates nothing.
+    output it allocates nothing. An empty lane adds +0.0 and a second one
+    changes no bit, so the loop runs at most ``n + 1`` lanes.
     """
     c0, nc = channels[0], len(channels)
     if tuple(channels) != tuple(range(3)[c0 : c0 + nc]):
@@ -222,7 +223,7 @@ def gamut_point_major(
     chan_stride, pix_stride = (s // 4 for s in flat.strides)
     _lib.gamut(
         flat.ctypes.data, chan_stride, pix_stride, flat.shape[1],
-        gp.table.ctypes.data, c0, nc, gp.n, unroll, out.ctypes.data,
+        gp.table.ctypes.data, c0, nc, gp.n, min(unroll, gp.n + 1), out.ctypes.data,
     )
     return out
 

@@ -4,12 +4,14 @@ Estimates an initiation interval (II), a cycle count, and a coarse resource
 figure for each kernel variant before running anything, mirroring what a
 pre-synthesis report would show.
 
-The II rule: a pipelined loop reaches II = 1 only when the tool can prove
-iterations independent, which here requires both the non-aliasing marker
-and the ignore-assumed-deps marker, and no true carried dependence.
-Otherwise the II falls back to ``assumed_dep_ii`` (a configurable stand-in
-for a memory load-use dependence; there is no measured value behind it, and
-reports flag it as assumed).
+The II rule reads only R and I: a pipelined loop reaches II = 1 only when
+the tool can prove iterations independent, which here requires both the
+non-aliasing marker (R) and the ignore-assumed-deps marker (I).  Otherwise
+the II falls back to ``assumed_dep_ii`` (a configurable stand-in for a
+memory load-use dependence; there is no measured value behind it, and
+reports flag it as assumed).  The model does not charge gamut's float
+accumulation as a carried dependence: that is an assumption too, like
+``assumed_dep_ii``.
 
 Cycles: a pipelined loop of t iterations at initiation interval ii costs
 ``depth + ii * (t - 1)``.  When a kernel has an inner reduction loop the
@@ -33,7 +35,6 @@ class KernelDescriptor:
     unroll_factor: int = 1
     restrict_flag: bool = False
     ivdep_flag: bool = False
-    has_true_carried_dep: bool = False
     pipeline_depth: int = 100
     assumed_dep_ii: int = 64
     mem_ops_per_iter: int = 1
@@ -66,10 +67,8 @@ class PipelineEstimate:
 
 
 def estimate_ii(d: KernelDescriptor) -> int:
-    """II = 1 iff restrict and ivdep are both set and no true carried dep."""
-    if not d.has_true_carried_dep and d.restrict_flag and d.ivdep_flag:
-        return 1
-    return d.assumed_dep_ii
+    """II = 1 iff restrict and ivdep are both set."""
+    return 1 if d.restrict_flag and d.ivdep_flag else d.assumed_dep_ii
 
 
 def estimate_cycles(d: KernelDescriptor, ii: int | None = None) -> int:
@@ -127,7 +126,6 @@ def derive_descriptor(
         unroll_factor=cfg.unroll_factor,
         restrict_flag=cfg.restrict_flag,
         ivdep_flag=cfg.ivdep_flag,
-        has_true_carried_dep=False,
         pipeline_depth=perf.pipeline_depth,
         assumed_dep_ii=perf.assumed_dep_ii,
         mem_ops_per_iter=_MEM_OPS[stage][cfg.fused_rewrite],

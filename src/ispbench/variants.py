@@ -16,8 +16,8 @@ unoptimized channel-sequential kernel.
 
 A variant run has three parts:
 
-1. ``variant_kernel``, the only part the clock times, so
-   ``AccessCounters.wall_time`` is the kernel's alone.  Demosaic, denoise,
+1. ``variant_kernel``, the only part the clock times, so the seconds
+   ``run_variant`` returns are the kernel's alone.  Demosaic, denoise,
    transform and tone map run ``kernels.reference_stage`` whatever the
    config; gamut runs the compiled reference loop
    (``kernels.gamut_point_major``) with ``unroll_factor`` lanes, once per
@@ -36,9 +36,11 @@ A variant run has three parts:
    whole image with ``repeats=1``, from the LUT rows ``images.tone_index``
    gives.
 
-``run_variant`` runs all three once.  The counters do not change from run to
-run, so further timing reps call ``variant_kernel`` alone, through ``sample``,
-the one timing loop the harness also times the reference kernels with.
+``run_variant`` runs all three once and returns the output, the
+``AccessCounters`` (traffic only) and the kernel's seconds.  The counters do
+not change from run to run, so further timing reps call ``variant_kernel``
+alone, through ``sample``, the one timing loop the harness also times the
+reference kernels with.
 
 R and I change neither the output nor the counters; they only feed the
 analytic model, so rows that differ only in R and I differ in wall time by
@@ -55,7 +57,7 @@ from __future__ import annotations
 import itertools
 import re
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,6 +69,7 @@ from .params import TONE_LEVELS, PipelineParams
 READONLY_MODES = ("none", "const_cache", "buffered")
 READONLY_STAGES = ("transform", "gamut", "tonemap")
 DEFAULT_CACHE_BYTES = 16384
+MAX_UNROLL = 2**63 - 1  # the compiled loop takes its lane count as a C long
 
 # named configurations exercised by the harness, per stage
 NAMED_VARIANTS = {
@@ -94,8 +97,8 @@ class VariantConfig:
     def __post_init__(self):
         if self.readonly_mode not in READONLY_MODES:
             raise VariantError(f"unknown readonly mode {self.readonly_mode!r}")
-        if self.unroll_factor < 1:
-            raise VariantError(f"unroll factor must be >= 1, got {self.unroll_factor}")
+        if not 1 <= self.unroll_factor <= MAX_UNROLL:
+            raise VariantError(f"unroll factor must be 1 to 2**63 - 1, got {self.unroll_factor}")
         size = self.cache_size_bytes
         if size < 64 or size & (size - 1):
             raise VariantError(f"cache size must be a power of two >= 64, got {size}")
@@ -212,12 +215,6 @@ class AccessCounters:
     cache_hits: int = 0
     cache_misses: int = 0
     buffer_bytes: int = 0
-    wall_time: float = 0.0
-
-    def traffic_fields(self) -> dict:
-        d = {f.name: getattr(self, f.name) for f in fields(self)}
-        d.pop("wall_time")
-        return d
 
 
 # global reads of pixel data per pixel, (channel-sequential, fused): demosaic
@@ -317,15 +314,14 @@ def variant_kernel(stage: str, cfg: VariantConfig, params: PipelineParams):
 
 def run_variant(
     stage: str, cfg: VariantConfig, data, params: PipelineParams
-) -> tuple[PlanarImage, AccessCounters]:
+) -> tuple[PlanarImage, AccessCounters, float]:
     """Run one instrumented kernel variant; rejects invalid pairings first.
 
-    ``wall_time`` is one ``variant_kernel`` call: the clock stops before the
-    tone map's LUT rows are taken and ``traffic`` counts the accesses.
+    Returns the output, its counters and the seconds of one ``variant_kernel``
+    call: the clock stops before the tone map's LUT rows are taken and
+    ``traffic`` counts the accesses.
     """
     cfg.validate_for(stage)
-    out, (wall_time,) = sample(1, variant_kernel(stage, cfg, params), data)
+    out, (seconds,) = sample(1, variant_kernel(stage, cfg, params), data)
     indices = tone_index(data.planes).reshape(3, -1) if stage == "tonemap" else None
-    counters = traffic(stage, cfg, out.width, out.height, params.gamut.n, indices)
-    counters.wall_time = wall_time
-    return out, counters
+    return out, traffic(stage, cfg, out.width, out.height, params.gamut.n, indices), seconds

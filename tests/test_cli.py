@@ -37,6 +37,11 @@ def test_gate_failure_exits_1(monkeypatch, capsys):
     assert "FAILED" in capsys.readouterr().out
 
 
+def test_an_unroll_far_past_the_point_count_passes_at_once(capsys):
+    assert cli.main([*GAMUT, "--variants", "RIW+U99999999999"]) == 0
+    assert "PASS" in capsys.readouterr().out
+
+
 def test_identical_non_finite_outputs_exit_0(tmp_path, capsys):
     path = tmp_path / "overflow.json"
     save_params_file(path, overflow_params())
@@ -59,10 +64,12 @@ def test_dataflow_mode_records_the_one_run_it_makes_not_reps(capsys):
         ["--stage", "gamut", "--cache-size", "100"],
         ["--stage", "gamut", "--cache-size", "128"],
         ["--mode", "dataflow", "--channel-depth", "0"],
+        ["--stage", "gamut", "--variants", f"RIW+U{2**63}"],  # past a C long
+        ["--stage", "gamut", "--variants", "RIW+U" + "9" * 400],  # past a float
     ],
     ids=[
         "reps_0", "unparsable_label", "unroll_on_denoise", "cache_size_100", "cache_size_128",
-        "channel_depth_0",
+        "channel_depth_0", "unroll_2_63", "unroll_400_digits",
     ],
 )
 def test_malformed_flags_exit_2(capsys, flags):

@@ -8,10 +8,8 @@ from ispbench.images import (
     PlanarImage,
     RawBayerImage,
     load_ppm,
-    load_raw_planar,
     mosaic_from_planar,
     save_ppm,
-    save_raw_planar,
     synth_bayer,
 )
 
@@ -87,57 +85,6 @@ class TestPpm:
         path = tmp_path_factory.mktemp("ppm") / "rt.ppm"
         save_ppm(img, path)
         assert load_ppm(path) == img
-
-
-class TestRawPlanar:
-    def test_one_plane_is_bayer(self, tmp_path):
-        path = tmp_path / "m.raw"
-        np.array([0.25, 0.5, 0.75, 1.0], dtype="<f4").tofile(path)
-        loaded = load_raw_planar(path, 2, 2, planes=1)
-        assert isinstance(loaded, RawBayerImage)
-        assert list(loaded.mosaic.reshape(-1)) == [0.25, 0.5, 0.75, 1.0]
-
-    def test_length_mismatch_message(self, tmp_path):
-        path = tmp_path / "bad.raw"
-        path.write_bytes(bytes(23))
-        with pytest.raises(ImageFormatError, match="expected 8"):
-            load_raw_planar(path, 2, 1, planes=1)
-
-    def test_round_trip_preserves_subnormals(self, tmp_path):
-        vals = np.array(
-            [0.0, 1.0, np.float32(1e-40), np.finfo(np.float32).tiny, 0.375, 1e-45],
-            dtype=np.float32,
-        ).reshape(2, 3)
-        planes = np.stack([vals, vals * 2, vals * 3]).astype(np.float32)
-        img = PlanarImage(width=3, height=2, planes=planes)
-        path = tmp_path / "rt.raw"
-        save_raw_planar(img, path)
-        back = load_raw_planar(path, 3, 2)
-        assert isinstance(back, PlanarImage)
-        assert back == img
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        values=st.lists(
-            st.floats(width=32, allow_nan=False, allow_infinity=False),
-            min_size=18,
-            max_size=18,
-        )
-    )
-    def test_round_trip_bit_exact(self, tmp_path_factory, values):
-        planes = np.asarray(values, dtype=np.float32).reshape(3, 2, 3)
-        img = PlanarImage(width=3, height=2, planes=planes)
-        path = tmp_path_factory.mktemp("raw") / "p.raw"
-        save_raw_planar(img, path)
-        back = load_raw_planar(path, 3, 2)
-        assert isinstance(back, PlanarImage)
-        assert back == img
-
-    def test_bayer_loader_rejects_out_of_range(self, tmp_path):
-        path = tmp_path / "neg.raw"
-        np.array([-1.0, 0.5, 0.5, 0.5], dtype="<f4").tofile(path)
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            load_raw_planar(path, 2, 2, planes=1)
 
 
 class TestSynth:

@@ -446,6 +446,31 @@ def test_gamut_keeps_a_negative_zero_first_term(n, unroll, channels):
     assert np.all(out == 0) and np.all(np.signbit(out) == (n >= unroll))
 
 
+@pytest.mark.parametrize("channels", [(0, 1, 2), (1,)])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 40])
+def test_gamut_lanes_past_the_last_point_change_no_bit(n, channels):
+    # a lane past point n holds no point: the first adds +0.0 and the rest
+    # change nothing, so the loop stops at n + 1 lanes. The oracle walks every
+    # lane and starts each at +0.0, which gives the same bits once the fold
+    # holds an empty lane.
+    rng = np.random.default_rng(n)
+    pixels = rng.random((3, 8), dtype=np.float32)
+    pixels[:, 1] = -0.0
+    pts = rng.random((n, 3), dtype=np.float32)
+    pts[0] = pixels[:, 0]  # a zero distance
+    weights = rng.random((n, 3), dtype=np.float32) - np.float32(0.5)
+    weights[-1] = -0.0
+    gp = GamutParams(pts, weights, np.full((4, 3), -0.0, np.float32))
+    img = PlanarImage(width=8, height=1, planes=pixels.reshape(3, 1, 8))
+    lanes = kernels.gamut_point_major(pixels, gp, channels, n + 1).view(np.uint32)
+    for unroll in (n + 2, n + 5, 3 * n + 7):
+        want = gamut_oracle(img, gp, unroll=unroll).planes.reshape(3, 8)[list(channels)]
+        assert np.array_equal(lanes, want.view(np.uint32)), unroll
+    for unroll in (10**6, 2**63 - 1):  # each would walk its lanes for every pixel block
+        got = kernels.gamut_point_major(pixels, gp, channels, unroll)
+        assert np.array_equal(got.view(np.uint32), lanes), unroll
+
+
 def ieee_gamut(pixels: np.ndarray, weights: np.ndarray, unroll: int):
     """The kernel's and the oracle's bits on ``pixels`` (3, k) with ``weights`` (n, 3)."""
     n, k = len(weights), pixels.shape[1]

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import math
 
 import pytest
 
+from ispbench.kernels import STAGE_NAMES
 from ispbench.params import PerfModelConfig
 from ispbench.perfmodel import (
     KernelDescriptor,
@@ -16,18 +19,20 @@ from ispbench.perfmodel import (
     estimate_ii,
     rank_variants,
 )
-from ispbench.variants import NAMED_VARIANTS, READONLY_STAGES, VariantConfig, parse_variant, traffic
-
-
-@pytest.mark.parametrize(
-    "restrict, ivdep, carried", list(itertools.product((False, True), repeat=3))
+from ispbench.variants import (
+    NAMED_VARIANTS,
+    READONLY_STAGES,
+    VariantConfig,
+    parse_variant,
+    traffic,
+    valid_variant_space,
 )
-def test_ii_is_one_iff_restrict_and_ivdep_without_a_carried_dependence(restrict, ivdep, carried):
-    d = KernelDescriptor(
-        outer_trip=10, restrict_flag=restrict, ivdep_flag=ivdep,
-        has_true_carried_dep=carried, assumed_dep_ii=7,
-    )
-    assert estimate_ii(d) == (1 if restrict and ivdep and not carried else 7)
+
+
+@pytest.mark.parametrize("restrict, ivdep", list(itertools.product((False, True), repeat=2)))
+def test_ii_is_one_iff_restrict_and_ivdep(restrict, ivdep):
+    d = KernelDescriptor(outer_trip=10, restrict_flag=restrict, ivdep_flag=ivdep, assumed_dep_ii=7)
+    assert estimate_ii(d) == (1 if restrict and ivdep else 7)
 
 
 @pytest.mark.parametrize("ii", [1, 64])
@@ -71,3 +76,17 @@ def test_rank_of_the_named_gamut_variants_at_sweep_size():
     assert units[:3] == [units[0]] * 3 and units[3] > units[0]
     reverse = [cfg.label() for cfg, _ in rank_variants("gamut", cfgs[::-1], 64, 48, 3611)]
     assert reverse[1:5] == ["RIWC_128", "RIWC", "RIW", "RIWB"]
+
+
+def test_every_estimate_over_the_whole_variant_space_is_pinned():
+    # every stage's valid_variant_space ranked at sweep size with the paper's
+    # point count and at 768x512 with 16 points; a change to any estimate,
+    # or to the rank order, must re-pin this digest on purpose
+    digest, count = hashlib.sha256(), 0
+    for width, height, n in ((64, 48, 3611), (768, 512, 16)):
+        for stage in STAGE_NAMES:
+            for cfg, est in rank_variants(stage, valid_variant_space(stage), width, height, n):
+                digest.update(json.dumps([cfg.label(), est.as_dict()]).encode())
+                count += 1
+    assert count == 312
+    assert digest.hexdigest() == "6c0b1b5fa34aeb17ea6a30a2059097d83a56a1d55d0e5d272b16efee99d433c0"

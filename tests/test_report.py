@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import pytest
@@ -57,7 +58,7 @@ def test_csv_header_bytes_are_fixed(sweep):
 
 def fixed_report() -> BenchReport:
     """One PASS row, one FAILED row and a dataflow section, every value fixed."""
-    counters = AccessCounters(96, 48, 0, 30, 6, 0, wall_time=0.5).traffic_fields()
+    counters = dataclasses.asdict(AccessCounters(96, 48, 0, 30, 6, 0))
     opt = PipelineEstimate(1, 4100, 12.5, True).as_dict()
     rows = [
         VariantRow("gamut", "RIWC", "PASS", 0.0, 0.0, 0.25, 0.125, 1.5, counters, opt),
