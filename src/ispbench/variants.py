@@ -69,7 +69,7 @@ from .params import TONE_LEVELS, PipelineParams
 READONLY_MODES = ("none", "const_cache", "buffered")
 READONLY_STAGES = ("transform", "gamut", "tonemap")
 DEFAULT_CACHE_BYTES = 16384
-MAX_UNROLL = 2**63 - 1  # the compiled loop takes its lane count as a C long
+MAX_UNROLL = 2**63 - 1  # a C long; far larger ones overflow the model's float arithmetic
 
 # named configurations exercised by the harness, per stage
 NAMED_VARIANTS = {
