@@ -10,7 +10,6 @@ from .cache import CacheAccessError, ConstCacheSim
 from .dataflow import (
     ChannelConfig,
     DataflowResult,
-    StageFault,
     StageStats,
     run_pipeline_dataflow,
     simulate_chain,

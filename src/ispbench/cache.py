@@ -2,11 +2,12 @@
 
 Addresses are byte offsets into a single flat region registered at
 construction time.  The mapping is ``(offset // LINE_BYTES) % lines`` with
-no prefetch and no associativity.  ``access_trace`` consumes a whole
-offset array with the counts of touching each offset in turn, and
-``access_repeated`` exploits the fact that the tag state after any
-trace depends only on the trace itself, so a per-pixel trace repeated P
-times needs only two simulated passes.
+no prefetch and no associativity; ``lines`` stops at the smallest power of
+two that covers the region, past which no two region lines share a slot.
+``access_trace`` consumes a whole offset array with the counts of touching
+each offset in turn, and ``access_repeated`` exploits the fact that the tag
+state after any trace depends only on the trace itself, so a per-pixel
+trace repeated P times needs only two simulated passes.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ class ConstCacheSim:
         if region_bytes < 1:
             raise ValueError("registered region must be non-empty")
         self.region_bytes = region_bytes
-        self.lines = size_bytes // LINE_BYTES
+        region_lines = -(-region_bytes // LINE_BYTES)
+        self.lines = min(size_bytes // LINE_BYTES, 1 << (region_lines - 1).bit_length())
         self.tags = np.full(self.lines, -1, dtype=np.int64)
         self.hits = 0
         self.misses = 0

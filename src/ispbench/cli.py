@@ -45,7 +45,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--variants",
         metavar="LIST",
-        help="comma-separated variant labels (default: the named set per stage)",
+        help="comma-separated variant labels such as RI,RIWC_64,RIWB+U6, where C_<kb> sizes"
+        " the constant cache in KB, 16 unsized (default: the named set per stage)",
     )
     p.add_argument("--reps", type=int, default=10, help="timing repetitions (default 10)")
     p.add_argument("--mode", choices=["sequential", "dataflow"], default="sequential")
@@ -56,9 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=64,
         help="pixels per dataflow channel (default 64); the wall clock holds ceil(depth / width)"
         " rows, the virtual clock simulates single pixels",
-    )
-    p.add_argument(
-        "--cache-size", type=int, help="constant-cache size in bytes (power of two >= 1024)"
     )
     p.add_argument("--format", choices=["text", "csv", "json"], default="text")
     p.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
@@ -78,7 +76,6 @@ def main(argv: list[str] | None = None) -> int:
             reps=args.reps,
             mode=args.mode,
             clock=args.clock,
-            cache_size=args.cache_size,
             channel_depth=args.channel_depth,
             out_format=args.format,
         )

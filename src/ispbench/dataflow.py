@@ -34,8 +34,8 @@ Two clocks are supported:
   Latencies must be integers; they are the per-pixel access counts of the
   traffic model.  Here ``busy + blocked_push + blocked_pop == wall_time``.
 
-On both clocks ``items_processed`` counts pixels.  A worker fault ends the
-run with ``StageFault`` naming the stage that raised.
+On both clocks ``items_processed`` counts pixels.  A kernel that raises ends
+the run with its own exception.
 """
 
 from __future__ import annotations
@@ -52,14 +52,7 @@ from .kernels import STAGE_NAMES, STAGES, _median_row, run_pipeline
 # the pointwise workers look theirs up by name at call time
 from .kernels import demosaic, denoise, gamut_map, tone_map, transform
 from .params import PipelineParams
-from .variants import VariantConfig, traffic
-
-
-class StageFault(RuntimeError):
-    def __init__(self, stage: str, cause: BaseException):
-        super().__init__(f"stage {stage!r} failed: {cause!r}")
-        self.stage = stage
-        self.cause = cause
+from .variants import pixel_accesses
 
 
 @dataclass(frozen=True)
@@ -156,14 +149,9 @@ def simulate_chain(
 def stage_cost_units(n_points: int) -> dict[str, float]:
     """The virtual latencies: per-pixel access counts of each stage's fused loop.
 
-    They come from the traffic model, so the imbalance matches the counters.
+    They are the traffic model's ``pixel_accesses``, so the imbalance matches the counters.
     """
-    fused, one_pixel = VariantConfig(fused_rewrite=True), np.zeros((3, 1), int)  # any LUT rows
-    costs = {}
-    for stage in STAGE_NAMES:
-        c = traffic(stage, fused, 1, 1, n_points, indices=one_pixel)
-        costs[stage] = float(c.global_reads + c.global_writes + c.readonly_reads)
-    return costs
+    return {stage: float(sum(pixel_accesses(stage, True, n_points))) for stage in STAGE_NAMES}
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +166,7 @@ def _run_chain(raw, stages, depth: int, width: int) -> tuple[list[StageStats], l
     is ``width`` pixels.  A stage yields while its input FIFO is empty or
     its output FIFO is full, and a plain loop resumes the live stages
     downstream-first until all finish.  The last stage's rows are returned.
-    A fault in any stage ends the run with ``StageFault``.
+    An exception in any stage ends the run.
     """
     k = len(stages)
     fifos = [deque([raw]), *(deque() for _ in range(k))]  # stage i pops fifos[i]; the last is the sink
@@ -214,15 +202,13 @@ def _run_chain(raw, stages, depth: int, width: int) -> tuple[list[StageStats], l
             closed[i + 1] = True
             st.wall_time = time.perf_counter() - t_start
 
-    live = [(name, worker(i, fn)) for i, (name, fn) in enumerate(stages)][::-1]
+    live = [worker(i, fn) for i, (_, fn) in enumerate(stages)][::-1]
     while live:
-        for name, gen in live[:]:
+        for gen in live[:]:
             try:
                 next(gen)
             except StopIteration:
-                live.remove((name, gen))
-            except Exception as exc:
-                raise StageFault(name, exc) from exc
+                live.remove(gen)
     return stats, list(fifos[k])
 
 

@@ -27,7 +27,6 @@ from .variants import (
     NAMED_VARIANTS,
     DEFAULT_CACHE_BYTES,
     VariantConfig,
-    VariantError,
     equivalence_tolerance,
     max_rel_deviation,
     parse_variant,
@@ -49,7 +48,6 @@ class HarnessConfig:
     reps: int = 10
     mode: str = "sequential"  # sequential | dataflow
     clock: str = "wall"  # wall | virtual
-    cache_size: int | None = None
     channel_depth: int = 64
     out_format: str = "text"  # text | csv | json
 
@@ -65,18 +63,12 @@ class HarnessConfig:
         if self.out_format not in ("text", "csv", "json"):
             raise ValueError(f"unknown format {self.out_format!r}")
         if self.stage in STAGE_NAMES and self.mode == "sequential":
-            if self.cache_size is not None:
-                if self.cache_size < 1024:  # labels count KB, and C_0 parses back to nothing
-                    raise VariantError(f"cache size must be >= 1024 bytes, got {self.cache_size}")
-                VariantConfig(cache_size_bytes=self.cache_size)  # rejects a non-power of two
             for label in self.variants:
                 self.variant_config(label)
 
     def variant_config(self, label: str) -> VariantConfig:
-        """The config ``label`` names on this stage; ``cache_size`` sets an unsized C."""
+        """The config ``label`` names on this stage; ``C_<kb>`` sizes its cache."""
         vcfg = parse_variant(label)
-        if self.cache_size is not None and vcfg.readonly_mode == "const_cache" and "_" not in label:
-            vcfg = dataclasses.replace(vcfg, cache_size_bytes=self.cache_size)
         vcfg.validate_for(self.stage)
         return vcfg
 
@@ -134,7 +126,7 @@ def _meta(cfg: HarnessConfig, raw: RawBayerImage, params: PipelineParams, image_
         "clock": cfg.clock,
         "reps": 1 if cfg.mode == "dataflow" else cfg.reps,  # the runs actually made
         "channel_depth": cfg.channel_depth,
-        "cache_size": cfg.cache_size if cfg.cache_size is not None else DEFAULT_CACHE_BYTES,
+        "cache_size": DEFAULT_CACHE_BYTES,  # an unsized C's; a C_<kb> label sets its own
         "paper_comparison": "qualitative-only",
     }
 

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from .params import PerfModelConfig
-from .variants import VariantConfig, region_words
+from .variants import VariantConfig, pixel_accesses, region_words
 
 
 @dataclass(frozen=True)
@@ -95,17 +95,6 @@ def estimate(d: KernelDescriptor, costs: dict) -> PipelineEstimate:
     )
 
 
-# coarse per-iteration memory-op counts used by the resource model;
-# for gamut this is one iteration of the inner reduction loop
-_MEM_OPS = {
-    "demosaic": {True: 12, False: 12},
-    "denoise": {True: 30, False: 10},
-    "transform": {True: 15, False: 7},
-    "gamut": {True: 6, False: 6},
-    "tonemap": {True: 9, False: 3},
-}
-
-
 def derive_descriptor(
     stage: str,
     cfg: VariantConfig,
@@ -114,21 +103,28 @@ def derive_descriptor(
     n_points: int,
     perf: PerfModelConfig | None = None,
 ) -> KernelDescriptor:
-    """Build a descriptor from a stage's default loop structure and a config."""
+    """Build a descriptor from a stage's default loop structure and a config.
+
+    ``mem_ops_per_iter`` is one pixel's ``pixel_accesses`` over its
+    iterations, but for two rules of the model's own: demosaic is sized for
+    its busiest site (9 reads and 3 writes, so 12, where ``traffic`` counts 7
+    reads on average), and gamut's pipelined loop is the inner one (a point
+    and its 3 weights, so 6, in both loop orders).
+    """
     perf = perf or PerfModelConfig()
-    pixels = width * height
-    fused = cfg.fused_rewrite or stage == "demosaic"
-    outer = pixels if fused else 3 * pixels
-    inner = n_points if stage == "gamut" else 0
+    per_pixel = 1 if cfg.fused_rewrite or stage == "demosaic" else 3  # loop iterations
+    mem_ops = {"demosaic": 12, "gamut": 6}.get(stage)
+    if mem_ops is None:
+        mem_ops = sum(pixel_accesses(stage, cfg.fused_rewrite, n_points)) // per_pixel
     return KernelDescriptor(
-        outer_trip=outer,
-        inner_trip=inner,
+        outer_trip=per_pixel * width * height,
+        inner_trip=n_points if stage == "gamut" else 0,
         unroll_factor=cfg.unroll_factor,
         restrict_flag=cfg.restrict_flag,
         ivdep_flag=cfg.ivdep_flag,
         pipeline_depth=perf.pipeline_depth,
         assumed_dep_ii=perf.assumed_dep_ii,
-        mem_ops_per_iter=_MEM_OPS[stage][cfg.fused_rewrite],
+        mem_ops_per_iter=mem_ops,
         buffer_bytes=4 * region_words(stage, n_points) if cfg.readonly_mode == "buffered" else 0,
     )
 

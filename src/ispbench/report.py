@@ -125,8 +125,9 @@ def _emit_text(r: BenchReport) -> str:
         out.append(f"  {key}: {r.meta[key]}")
     if r.rows:
         out.append("")
+        vw = max(10, *(len(row.variant) for row in r.rows))  # the variant column's width
         header = (
-            f"{'stage':<10} {'variant':<10} {'status':<8}"
+            f"{'stage':<10} {'variant':<{vw}} {'status':<8}"
             f"{_fmt('mean_s', 12)} {_fmt('min_s', 12)} {_fmt('speedup', 10)}"
             f"{_fmt('max_dev', 12)} {_fmt('cycles', 14)} {_fmt('ii', 6)}"
         )
@@ -135,7 +136,7 @@ def _emit_text(r: BenchReport) -> str:
         for row in r.rows:
             opt = row.optimization_report or {}
             out.append(
-                f"{row.stage:<10} {row.variant:<10} {row.status:<8}"
+                f"{row.stage:<10} {row.variant:<{vw}} {row.status:<8}"
                 f"{_fmt(row.wall_time_mean, 12)} {_fmt(row.wall_time_min, 12)}"
                 f" {_fmt(row.speedup, 10)}{_fmt(row.max_deviation, 12)}"
                 f"{_fmt(opt.get('total_cycles'), 14)} {_fmt(opt.get('ii'), 6)}"

@@ -6,7 +6,7 @@ knob letters::
     R        non-aliasing pointers      (metadata, feeds the analytic model)
     I        ignore assumed loop deps   (metadata, feeds the analytic model)
     W        fused rewrite: produce R, G, B of a pixel in one iteration
-    C[_kb]   read-only operands through the constant-cache simulator
+    C[_kb]   read-only operands through a constant cache of kb KB (16 unsized)
     B        read-only operands copied once into a local buffer
     +U<n>    unroll the gamut inner reduction by n
 
@@ -24,17 +24,17 @@ A variant run has three parts:
    channel when channel-sequential, so that variant recomputes the
    distances for every channel;
 2. after the clock stops, ``traffic``: the counters of the variant's
-   nominal single-work-item loop, from one table of global reads per pixel
-   (fused and channel-sequential) and the size of each stage's flat
-   read-only region (``region_words``; gamut: control points, then
-   weights, then the bias coefficients, as ``GamutParams.table`` holds
-   them);
-3. the cache replay: the read-only accesses as ``(trace, repeats)`` passes
-   of byte offsets, each an ascending sweep of the region per pixel,
-   replayed through ``ConstCacheSim.access_repeated``.  The tone map's
-   accesses depend on the pixel values, so its trace is one pass over the
-   whole image with ``repeats=1``, from the LUT rows ``images.tone_index``
-   gives.
+   nominal single-work-item loop, from one table of accesses per pixel
+   (``pixel_accesses``, which the model and the virtual clock read too) and
+   the size of each stage's flat read-only region (``region_words``; gamut:
+   control points, then weights, then the bias coefficients, as
+   ``GamutParams.table`` holds them);
+3. for ``C``, the cache replay: the read-only accesses as ``(trace,
+   repeats)`` passes of byte offsets, each an ascending sweep of the region
+   per pixel, replayed through ``ConstCacheSim.access_repeated``.  The tone
+   map's accesses depend on the pixel values, so its trace is one pass over
+   the whole image with ``repeats=1``, from the LUT rows
+   ``images.tone_index`` gives.
 
 ``run_variant`` runs all three once and returns the output, the
 ``AccessCounters`` (traffic only) and the kernel's seconds.  The counters do
@@ -145,13 +145,17 @@ def parse_variant(text: str) -> VariantConfig:
         raise VariantError(f"cannot parse variant {text!r}")
     r, i, w, cflag, kb, bflag, unroll = m.groups()
     mode = "const_cache" if cflag else ("buffered" if bflag else "none")
-    cache = int(kb) * 1024 if kb else DEFAULT_CACHE_BYTES
+    try:
+        unroll_factor = int(unroll) if unroll else 1
+        cache = int(kb) * 1024 if kb else DEFAULT_CACHE_BYTES
+    except ValueError:  # more digits than sys.get_int_max_str_digits() converts
+        raise VariantError(f"variant label {s[:20]!r}... has a number too long to read") from None
     return VariantConfig(
         restrict_flag=bool(r),
         ivdep_flag=bool(i),
         fused_rewrite=bool(w),
         readonly_mode=mode,
-        unroll_factor=int(unroll) if unroll else 1,
+        unroll_factor=unroll_factor,
         cache_size_bytes=cache,
     )
 
@@ -235,8 +239,18 @@ def region_words(stage: str, n: int) -> int:
     return {"transform": 9, "gamut": 6 * n + 12, "tonemap": 3 * TONE_LEVELS}[stage]
 
 
+def pixel_accesses(stage: str, fused: bool, n: int) -> tuple[int, int, int]:
+    """One pixel's (global reads, global writes, uncached read-only reads).
+
+    The read-only reads are the length of one pixel's ``_passes`` traces.
+    """
+    gamut = (6 if fused else 12) * n + 12
+    readonly = {"transform": 9, "gamut": gamut, "tonemap": 3}.get(stage, 0)
+    return GLOBAL_READS[stage][fused], 3, readonly
+
+
 def _passes(stage: str, fused: bool, n: int, pixels: int, indices) -> list:
-    """Read-only byte-offset traces as ``(trace, repeats)`` passes."""
+    """Read-only byte-offset traces as ``(trace, repeats)`` passes, for the cache replay."""
     if stage == "tonemap":
         if indices is None:
             raise ValueError("the tone map's trace needs its (3, pixels) LUT indices")
@@ -261,24 +275,20 @@ def traffic(
 
     Uncached read-only operands count every access, buffered ones the
     one-time fill of the region, and constant-cache ones the simulator's
-    hits and misses.
+    hits and misses; only the last replays traces.
     """
     pixels = width * height
-    counters = AccessCounters(
-        global_reads=GLOBAL_READS[stage][cfg.fused_rewrite] * pixels, global_writes=3 * pixels
-    )
-    if stage not in READONLY_STAGES:
+    reads, writes, readonly = pixel_accesses(stage, cfg.fused_rewrite, n_points)
+    counters = AccessCounters(global_reads=reads * pixels, global_writes=writes * pixels)
+    if cfg.readonly_mode == "none" or stage not in READONLY_STAGES:
+        counters.readonly_reads = readonly * pixels
         return counters
     words = region_words(stage, n_points)
     if cfg.readonly_mode == "buffered":
         counters.readonly_reads, counters.buffer_bytes = words, 4 * words
         return counters
-    passes = _passes(stage, cfg.fused_rewrite, n_points, pixels, indices)
-    if cfg.readonly_mode == "none":
-        counters.readonly_reads = sum(len(trace) * repeats for trace, repeats in passes)
-        return counters
     sim = ConstCacheSim(cfg.cache_size_bytes, 4 * words)
-    for trace, repeats in passes:
+    for trace, repeats in _passes(stage, cfg.fused_rewrite, n_points, pixels, indices):
         sim.access_repeated(trace, repeats)
     counters.cache_hits, counters.cache_misses = sim.hits, sim.misses
     return counters

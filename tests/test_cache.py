@@ -60,6 +60,13 @@ def test_access_repeated_matches_per_offset_access(warm_start, repeats, case):
     assert _state(fast) == _state(loop)
 
 
+@pytest.mark.parametrize("region, cover", [(1, 1), (64, 1), (65, 2), (4096, 64), (86712, 2048)])
+def test_a_cache_keeps_at_most_the_lines_that_cover_its_region(region, cover):
+    assert ConstCacheSim(1 << 40, region).tags.size == cover  # not 2**34 tags
+    assert ConstCacheSim(64 * cover, region).tags.size == cover
+    assert ConstCacheSim(64, region).tags.size == 1
+
+
 @pytest.mark.parametrize("offset", [-1, 100, 4096])
 def test_offset_outside_the_region_raises(offset):
     sim = ConstCacheSim(64, 100)

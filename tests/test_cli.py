@@ -61,15 +61,15 @@ def test_dataflow_mode_records_the_one_run_it_makes_not_reps(capsys):
         ["--reps", "0"],
         ["--stage", "gamut", "--variants", "XYZ"],
         ["--stage", "denoise", "--variants", "U6"],
-        ["--stage", "gamut", "--cache-size", "100"],
-        ["--stage", "gamut", "--cache-size", "128"],
         ["--mode", "dataflow", "--channel-depth", "0"],
         ["--stage", "gamut", "--variants", f"RIW+U{2**63}"],  # past a C long
         ["--stage", "gamut", "--variants", "RIW+U" + "9" * 400],  # past a float
+        ["--stage", "gamut", "--variants", "RIW+U" + "9" * 5000],  # past int()'s digit limit
+        ["--stage", "gamut", "--variants", "RIWC_" + "9" * 5000],
     ],
     ids=[
-        "reps_0", "unparsable_label", "unroll_on_denoise", "cache_size_100", "cache_size_128",
-        "channel_depth_0", "unroll_2_63", "unroll_400_digits",
+        "reps_0", "unparsable_label", "unroll_on_denoise", "channel_depth_0", "unroll_2_63",
+        "unroll_400_digits", "unroll_5000_digits", "cache_5000_digits",
     ],
 )
 def test_malformed_flags_exit_2(capsys, flags):
@@ -80,7 +80,7 @@ def test_malformed_flags_exit_2(capsys, flags):
 
 @pytest.mark.parametrize(
     "kwargs",
-    [{"variants": ["XYZ"]}, {"stage": "denoise", "variants": ["U6"]}, {"cache_size": 100}],
+    [{"variants": ["XYZ"]}, {"stage": "denoise", "variants": ["U6"]}],
 )
 def test_harness_config_rejects_variant_flags(kwargs):
     with pytest.raises(VariantError):
@@ -88,8 +88,15 @@ def test_harness_config_rejects_variant_flags(kwargs):
 
 
 def test_variant_flags_are_checked_only_where_they_are_used():
-    HarnessConfig(stage="pipeline", variants=["XYZ"], cache_size=100)
-    HarnessConfig(stage="gamut", mode="dataflow", variants=["XYZ"], cache_size=100)
+    HarnessConfig(stage="pipeline", variants=["XYZ"])
+    HarnessConfig(stage="gamut", mode="dataflow", variants=["XYZ"])
+
+
+def test_a_cache_is_sized_by_its_label_alone(capsys):
+    with pytest.raises(SystemExit) as exc:  # argparse rejects the flag
+        cli.main([*GAMUT, "--cache-size", "1024"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cache-size" in capsys.readouterr().err
 
 
 def test_process_exits_2_without_a_traceback():

@@ -14,7 +14,7 @@ from ispbench.harness import HarnessConfig, load_harness_inputs, run_matrix
 from ispbench.images import PlanarImage
 from ispbench.kernels import STAGE_NAMES, gamut_map, stage_input
 from ispbench.params import save_params_file
-from ispbench.variants import NAMED_VARIANTS, VariantError
+from ispbench.variants import NAMED_VARIANTS
 
 from _helpers import in_range_params, overflow_params
 
@@ -71,12 +71,6 @@ def test_an_infinite_value_against_a_finite_one_fails_the_gate():
     rows = {row.variant: row for row in run_matrix(cfg, perturb=perturb).rows}
     assert rows["RIW"].status == "FAILED" and rows["RIW"].max_deviation == np.inf
     assert all(row.status == "PASS" for label, row in rows.items() if label != "RIW")
-
-
-def test_cache_size_must_be_at_least_1kb():
-    with pytest.raises(VariantError, match="1024"):
-        HarnessConfig(stage="gamut", cache_size=512)
-    assert HarnessConfig(stage="gamut", cache_size=1024).variant_config("RIWC").label() == "RIWC_1"
 
 
 def test_the_gates_reference_run_is_the_first_timing_sample(monkeypatch):

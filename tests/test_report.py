@@ -94,6 +94,18 @@ def test_text_report_shows_the_makespan_on_both_clocks(flow):
     assert f"makespan {flow.pipeline.dataflow['makespan']:.6g}" in text
 
 
+def test_text_report_sizes_the_variant_column_to_its_longest_label():
+    report = fixed_report()
+    assert "\ngamut      RIWC       PASS    " in emit_report(report, "text").decode()  # 10 wide
+    report.rows[1].variant = "RIW+U99999999999"
+    lines = emit_report(report, "text").decode().splitlines()
+    header = next(line for line in lines if line.startswith("stage"))
+    rows = [line for line in lines if line.startswith("gamut ")]
+    for row, line in zip(report.rows, rows):
+        assert line.index(row.status) == header.index("status"), line
+    assert len({len(line.split("  [")[0]) for line in rows}) == 1, rows  # every column in line
+
+
 def test_unknown_format_raises(sweep):
     with pytest.raises(ValueError):
         emit_report(sweep, "xml")

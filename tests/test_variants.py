@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import re
 import time
 
 import numpy as np
@@ -17,10 +18,15 @@ import pytest
 from ispbench import kernels, variants
 from ispbench.images import tone_index
 from ispbench.kernels import STAGE_NAMES
+from ispbench.cache import LINE_BYTES
 from ispbench.variants import (
+    READONLY_STAGES,
     VariantConfig,
+    VariantError,
     max_rel_deviation,
     parse_variant,
+    pixel_accesses,
+    region_words,
     run_variant,
     sample,
     traffic,
@@ -231,8 +237,50 @@ def test_traffic_of_the_fused_loop_equals_the_old_closed_form(stage, mode):
 
 
 def test_tone_map_traffic_needs_its_indices():
+    # only the cache replays the LUT rows; every other mode counts without them
     with pytest.raises(ValueError):
-        traffic("tonemap", VariantConfig(), 16, 10, 17)
+        traffic("tonemap", VariantConfig(readonly_mode="const_cache"), 16, 10, 17)
+    assert traffic("tonemap", VariantConfig(), 16, 10, 17).readonly_reads == 480
+
+
+@pytest.mark.parametrize("n", [1, 16, 3611])
+@pytest.mark.parametrize("fused", [False, True])
+@pytest.mark.parametrize("stage", STAGE_NAMES)
+def test_pixel_accesses_are_one_pixels_replayed_traces(stage, fused, n):
+    # the uncached count, the model and the virtual clock read the table;
+    # the cache replays the traces, so the two must not drift apart
+    readonly = pixel_accesses(stage, fused, n)[2]
+    if stage not in READONLY_STAGES:
+        assert readonly == 0
+        return
+    passes = variants._passes(stage, fused, n, 1, np.zeros((3, 1), dtype=np.int64))
+    assert readonly == sum(len(trace) * repeats for trace, repeats in passes)
+
+
+@pytest.mark.parametrize(
+    "stage, n", [("gamut", 3611), ("gamut", 5), ("transform", 5), ("tonemap", 5)]
+)
+@pytest.mark.parametrize("fused", ["", "W"])
+def test_a_cache_past_the_region_counts_as_the_one_that_covers_it(stage, n, fused):
+    # the simulator keeps at most the power-of-two line count that covers the
+    # region, so a 1 TB cache counts like it and allocates no more tags
+    region_lines = -(-4 * region_words(stage, n) // LINE_BYTES)
+    cover_kb = max(1, (1 << (region_lines - 1).bit_length()) * LINE_BYTES // 1024)
+    data = rand_planar(16, 10, seed=5, lo=-0.2, hi=1.2)
+    indices = tone_index(data.planes).reshape(3, -1)
+    counts = [
+        traffic(stage, parse_variant(f"RI{fused}C_{kb}"), 16, 10, n, indices)
+        for kb in (cover_kb, 1073741824)
+    ]
+    assert counts[0] == counts[1]
+    accesses = 16 * 10 * pixel_accesses(stage, bool(fused), n)[2]
+    assert counts[0].cache_hits + counts[0].cache_misses == accesses
+
+
+@pytest.mark.parametrize("label", ["RIW+U" + "9" * 5000, "RIWC_" + "9" * 5000], ids=["U", "C"])
+def test_a_number_past_ints_digit_limit_names_its_label(label):
+    with pytest.raises(VariantError, match=re.escape(label[:12])):
+        parse_variant(label)
 
 
 @pytest.mark.parametrize("stage", STAGE_NAMES)
