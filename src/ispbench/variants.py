@@ -271,7 +271,7 @@ def _passes(stage: str, fused: bool, n: int, pixels: int, indices) -> list:
 def traffic(
     stage: str, cfg: VariantConfig, width: int, height: int, n_points: int, indices=None
 ) -> AccessCounters:
-    """Counters of a variant's nominal loop; the tone map also needs ``indices``.
+    """Counters of a variant's nominal loop; a tone-map ``C`` also needs ``indices``.
 
     Uncached read-only operands count every access, buffered ones the
     one-time fill of the region, and constant-cache ones the simulator's
