@@ -1,12 +1,12 @@
-/* The compiled loops behind kernels.py: demosaic, the 3x3 median (denoise
- * and the dataflow worker's row median), transform, gamut and the tone map.
+/* The compiled loops behind kernels.py, one entry per stage: demosaic, the
+ * 3x3 median (denoise), transform, gamut and the tone map.
  *
  * Every step is one rounded float32 operation in the order the kernels
  * docstring gives: build with -ffp-contract=off and without -ffast-math, so
  * no multiply-add is fused and subnormals are kept. Strides count elements;
- * the pixels of a row are adjacent. Outputs are (3, h, w) or (3, w)
- * row-major and never alias an input. The four cheap stages work one output
- * row at a time and use no scratch memory.
+ * the pixels of a row are adjacent. Outputs are row-major planes and never
+ * alias an input. The four cheap stages work one output row at a time and use
+ * no scratch memory.
  */
 #include <math.h>
 #include <string.h>
@@ -139,26 +139,18 @@ median_line(const float *t, const float *m, const float *b, long w, float *restr
         out[w - 1] = med9(t, m, b, w - 2, w - 1, w - 1);
 }
 
-/* src: (3, h, w) planes, channels cs and rows rs apart; out: (3, h, w).
- * Rows above and below the image replicate the edge. */
+/* src: (3, h, w) planes, channels cs and rows rs apart; out: (3, y1 - y0, w),
+ * the median rows y0 .. y1 - 1. Rows above and below the h rows of src
+ * replicate the edge. */
 void
-denoise(const float *src, long cs, long rs, long h, long w, float *restrict out)
+denoise(const float *src, long cs, long rs, long h, long w, long y0, long y1,
+        float *restrict out)
 {
     for (long c = 0; c < 3; c++)
-        for (long y = 0; y < h; y++) {
+        for (long y = y0; y < y1; y++, out += w) {
             const float *m = src + c * cs + y * rs;
-            median_line(y ? m - rs : m, m, y + 1 < h ? m + rs : m, w, out + (c * h + y) * w);
+            median_line(y ? m - rs : m, m, y + 1 < h ? m + rs : m, w, out);
         }
-}
-
-/* The median row of m between rows t and b, each (3, w) with its own channel
- * stride; out: (3, w). */
-void
-median_row(const float *t, long tcs, const float *m, long mcs, const float *b, long bcs,
-           long w, float *restrict out)
-{
-    for (long c = 0; c < 3; c++)
-        median_line(t + c * tcs, m + c * mcs, b + c * bcs, w, out + c * w);
 }
 
 /* ---- transform --------------------------------------------------------- */
@@ -220,14 +212,14 @@ tone_map(const float *src, long cs, long rs, long h, long w, const float *lut,
 #define BLOCK 64 /* pixels per block */
 
 static inline __attribute__((always_inline)) void
-gamut_block(const int nc, const float *src, long chan_stride, long pix_stride,
-            long k, const float *pts, const float *wts, const float *coefs, long n,
-            long unroll, float *out, long out_stride)
+gamut_block(const int nc, const float *src, long chan_stride, long k, const float *pts,
+            const float *wts, const float *coefs, long n, long unroll, float *out,
+            long out_stride)
 {
     float rgb[3][BLOCK], acc[3][BLOCK], lane[3][BLOCK];
     for (int ch = 0; ch < 3; ch++)
         for (long j = 0; j < BLOCK; j++)
-            rgb[ch][j] = j < k ? src[ch * chan_stride + j * pix_stride] : 0.0f;
+            rgb[ch][j] = j < k ? src[ch * chan_stride + j] : 0.0f;
 
     for (long l = 0; l < unroll; l++) {
         for (int c = 0; c < nc; c++)
@@ -259,24 +251,21 @@ gamut_block(const int nc, const float *src, long chan_stride, long pix_stride,
             out[c * out_stride + j] = acc[c][j];
 }
 
-/* src: three planes of `total` pixels, element strides chan_stride and
- * pix_stride. table: (2n + 4, 3) row-major, the n control points, then the n
- * weight rows, then the 4 bias rows. The nc output channels start at channel
- * c0; out is (nc, total) row-major. */
+/* src: three planes of `total` adjacent pixels, chan_stride apart. table:
+ * (2n + 4, 3) row-major, the n control points, then the n weight rows, then
+ * the 4 bias rows. The nc output channels (1 or 3) start at channel c0; out is
+ * (nc, total) row-major. */
 void
-gamut(const float *src, long chan_stride, long pix_stride, long total,
-      const float *table, long c0, long nc, long n, long unroll, float *out)
+gamut(const float *src, long chan_stride, long total, const float *table, long c0, long nc,
+      long n, long unroll, float *out)
 {
     const float *pts = table, *wts = table + 3 * n + c0, *coefs = table + 6 * n + c0;
     for (long s = 0; s < total; s += BLOCK) {
         long k = total - s < BLOCK ? total - s : BLOCK;
-        const float *px = src + s * pix_stride;
         /* a constant nc, so that each case compiles to its own loop */
         if (nc == 1)
-            gamut_block(1, px, chan_stride, pix_stride, k, pts, wts, coefs, n, unroll, out + s, total);
-        else if (nc == 2)
-            gamut_block(2, px, chan_stride, pix_stride, k, pts, wts, coefs, n, unroll, out + s, total);
+            gamut_block(1, src + s, chan_stride, k, pts, wts, coefs, n, unroll, out + s, total);
         else
-            gamut_block(3, px, chan_stride, pix_stride, k, pts, wts, coefs, n, unroll, out + s, total);
+            gamut_block(3, src + s, chan_stride, k, pts, wts, coefs, n, unroll, out + s, total);
     }
 }

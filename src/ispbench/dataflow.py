@@ -5,7 +5,7 @@ item is one image row that no other item shares.  The first stage demosaics
 the whole mosaic (it needs a row window, not a stream) and feeds its rows,
 ``(3, w)`` float32 arrays, to the first channel; the median stage keeps the
 last three rows and emits the median of one row once the row below it
-arrives, through the compiled median body that ``denoise`` runs, as a one-row
+arrives, through ``_median_rows`` as ``denoise`` does, as a one-row
 ``PlanarImage``; the remaining stages are pointwise and pass their kernel's
 one-row output image on.  Arithmetic is delegated to the reference kernels,
 so the output is bit-identical to the sequential pipeline in any
@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .images import PlanarImage, RawBayerImage
-from .kernels import STAGE_NAMES, STAGES, _median_row, run_pipeline
+from .kernels import STAGE_NAMES, STAGES, _median_rows, run_pipeline
 # module attributes that tracers patch by name: ``denoise`` is not called here, and
 # the pointwise workers look theirs up by name at call time
 from .kernels import demosaic, denoise, gamut_map, tone_map, transform
@@ -215,24 +215,26 @@ def _run_chain(raw, stages, depth: int, width: int) -> tuple[list[StageStats], l
 def _denoise_rows(width: int, height: int):
     """Median worker: row ``y - 1`` once row ``y`` arrives, the last row at the end.
 
-    The window keeps the last three arriving rows. A row's median is one
-    call of ``_median_row`` on the [prev, cur, next] rows, with the top and
-    bottom rows replicated, so it matches ``denoise`` bit for bit; each call
-    computes only the row it emits, and allocates only that row.
+    The last three arriving rows are copied into one ``(3, 3, w)`` window. A
+    row's median is one ``_median_rows`` call on the window's rows so far, so
+    it matches ``denoise`` bit for bit; each call computes only the row it
+    emits, and allocates only that row.
     """
-    window: deque[np.ndarray] = deque(maxlen=3)
+    window = np.empty((3, 3, width), np.float32)
     seen = 0
-
-    def median(top, middle, bottom):
-        return PlanarImage(width, 1, _median_row(top, middle, bottom))
 
     def process(row):
         nonlocal seen
-        window.append(row)
+        if seen >= 3:  # drop the oldest row; overlapping slices would be copied through a buffer
+            window[:, 0] = window[:, 1]
+            window[:, 1] = window[:, 2]
+        k = min(seen, 2)
+        window[:, k] = row
         seen += 1
-        emit = [median(window[0], window[-2], window[-1])] if seen >= 2 else []
+        rows = window[:, : k + 1]
+        emit = [_median_rows(rows, k - 1, k)] if seen >= 2 else []
         if seen == height:
-            emit.append(median(window[-2], window[-1], window[-1]))
+            emit.append(_median_rows(rows, k, k + 1))
         return emit
 
     return process

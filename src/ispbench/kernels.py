@@ -26,19 +26,20 @@ failing compiler is an ``ImportError`` that names the command. Built with
 float32 order above: no multiply is fused into its add and subnormals are
 kept.
 
-Demosaic, denoise, transform and the tone map work one output row at a
-time, reading their input rows in place (a channel or row stride may be
+Every kernel reads its input in place (a channel or row stride may be
 anything; the pixels of a row must be adjacent, or the input is copied
-first), and allocate nothing besides their output. Gamut walks blocks of 64
-pixels outside and the control points inside, so a block's sums stay in
-registers.
+first) and allocates nothing besides its output. Demosaic, denoise,
+transform and the tone map work one output row at a time. Gamut walks
+blocks of 64 pixels outside and the control points inside, so a block's
+sums stay in registers.
 
 The 3x3 median is Paeth's 19-exchange network (Devillard's opt_med9): each
 row's horizontal triple is sorted, then med3(max of the lows, med3 of the
 mids, min of the highs) is the median of the nine. Every exchange is
 ``(fmin(x_i, x_j), maximum(x_i, x_j))`` with NumPy's NaN rules, written as
 compare-and-select, so a NaN goes to the high side. ``denoise`` and the
-wall-clock dataflow worker (through ``_median_row``) run the same loop.
+wall-clock dataflow worker both run it through ``_median_rows``, which makes
+any range of output rows.
 
 The median is one element of its window, never an arithmetic result, and
 NaN ranks above +inf as in ``np.sort``. Equal values are interchangeable
@@ -104,10 +105,9 @@ def _load():
     ptr, num = ctypes.c_void_p, ctypes.c_long
     signatures = {
         "demosaic": [ptr, num, num, num, ptr],
-        "denoise": [ptr, num, num, num, num, ptr],
-        "median_row": [ptr, num, ptr, num, ptr, num, num, ptr],
+        "denoise": [ptr, num, num, num, num, num, num, ptr],
         "transform": [ptr, num, num, num, num, ptr, ptr],
-        "gamut": [ptr, num, num, num, ptr, num, num, num, num, ptr],
+        "gamut": [ptr, num, num, ptr, num, num, num, num, ptr],
         "tone_map": [ptr, num, num, num, num, ptr, ptr],
     }
     for name, argtypes in signatures.items():
@@ -160,32 +160,24 @@ def demosaic(raw: RawBayerImage) -> PlanarImage:
 
 
 def denoise(img: PlanarImage) -> PlanarImage:
-    """Per-channel 3x3 median with edge replication (a selection network).
+    """Per-channel 3x3 median with edge replication (a selection network)."""
+    return _median_rows(img.planes, 0, img.height)
 
-    One call of the compiled loop, which takes each output row's median from
-    the three input rows around it, as ``_median_row`` does for one row.
+
+def _median_rows(planes: np.ndarray, y0: int, y1: int) -> PlanarImage:
+    """The 3x3 median rows ``y0 .. y1 - 1`` of ``(3, h, w)`` planes.
+
+    Rows above and below the ``h`` rows replicate the edge, and so do the
+    edge columns. One call of the compiled loop, which takes each output
+    row's median from the three input rows around it.
     """
-    h, w = img.height, img.width
-    planes = _rows(img.planes)
-    out = np.empty((3, h, w), np.float32)
-    _lib.denoise(planes.ctypes.data, *_strides(planes), h, w, out.ctypes.data)
-    return PlanarImage(width=w, height=h, planes=out)
-
-
-def _median_row(top: np.ndarray, middle: np.ndarray, bottom: np.ndarray) -> np.ndarray:
-    """The 3x3 median of the ``(3, w)`` row ``middle`` between ``top`` and ``bottom``.
-
-    Returns a fresh ``(3, 1, w)`` row, bit for bit the row ``denoise`` makes
-    from the same three rows; edge columns replicate.
-    """
-    w = middle.shape[-1]
-    if not top.shape == middle.shape == bottom.shape == (3, w):
-        raise ValueError(f"need three (3, w) rows, got {top.shape}, {middle.shape}, {bottom.shape}")
-    rows = [_rows(row) for row in (top, middle, bottom)]
-    out = np.empty((3, 1, w), np.float32)
-    args = [x for row in rows for x in (row.ctypes.data, *_strides(row))]
-    _lib.median_row(*args, w, out.ctypes.data)
-    return out
+    c, h, w = planes.shape
+    if c != 3 or not 0 <= y0 <= y1 <= h:  # the loop would read outside the planes
+        raise ValueError(f"need (3, h, w) and 0 <= y0 <= y1 <= h, got {planes.shape}, {y0}, {y1}")
+    planes = _rows(planes)
+    out = np.empty((3, y1 - y0, w), np.float32)
+    _lib.denoise(planes.ctypes.data, *_strides(planes), h, w, y0, y1, out.ctypes.data)
+    return PlanarImage(width=w, height=y1 - y0, planes=out)
 
 
 def transform(img: PlanarImage, m: TransformMatrix) -> PlanarImage:
@@ -200,29 +192,29 @@ def transform(img: PlanarImage, m: TransformMatrix) -> PlanarImage:
     return PlanarImage(width=w, height=h, planes=out)
 
 
-def gamut_point_major(
-    flat: np.ndarray, gp: GamutParams, channels=(0, 1, 2), unroll: int = 1
+def gamut_flat(
+    flat: np.ndarray, gp: GamutParams, channel: int | None = None, unroll: int = 1
 ) -> np.ndarray:
-    """Gamut over flat ``(3, pixels)`` planes; returns ``(len(channels), pixels)``.
+    """Gamut over flat ``(3, pixels)`` planes; returns ``(3 or 1, pixels)``.
 
     Point ``i`` goes to lane ``i % unroll``; each lane starts from its first
     term and adds the rest left to right (a lane with no points is zero),
     then the lanes fold left to right and the bias terms follow in order.
-    ``unroll=1`` is the reference order. ``channels`` must be a contiguous
-    run of channel indices. One call of the compiled loop; besides its
-    output it allocates nothing. An empty lane adds +0.0 and a second one
-    changes no bit, so the loop runs at most ``n + 1`` lanes.
+    ``unroll=1`` is the reference order. ``channel`` is ``None`` (all three)
+    or one channel, ``0``, ``1`` or ``2``. One call of the compiled loop;
+    besides its output it allocates nothing. An empty lane adds +0.0 and a
+    second one changes no bit, so the loop runs at most ``n + 1`` lanes.
     """
-    c0, nc = channels[0], len(channels)
-    if tuple(channels) != tuple(range(3)[c0 : c0 + nc]):
-        raise ValueError(f"channels must be a contiguous run of 0, 1, 2, got {channels}")
+    if channel not in (None, 0, 1, 2):
+        raise ValueError(f"channel must be None, 0, 1 or 2, got {channel!r}")
     flat = np.asarray(flat, np.float32)
     if flat.ndim != 2 or len(flat) != 3 or unroll < 1:
         raise ValueError(f"need (3, pixels) planes and unroll >= 1, got {flat.shape}, {unroll}")
+    flat = _rows(flat)
+    c0, nc = (0, 3) if channel is None else (channel, 1)
     out = np.empty((nc, flat.shape[1]), np.float32)
-    chan_stride, pix_stride = (s // 4 for s in flat.strides)
     _lib.gamut(
-        flat.ctypes.data, chan_stride, pix_stride, flat.shape[1],
+        flat.ctypes.data, *_strides(flat), flat.shape[1],
         gp.table.ctypes.data, c0, nc, gp.n, min(unroll, gp.n + 1), out.ctypes.data,
     )
     return out
@@ -235,7 +227,7 @@ def gamut_map(img: PlanarImage, gp: GamutParams) -> PlanarImage:
     equals a scalar loop over them bit for bit.
     """
     h, w = img.height, img.width
-    out = gamut_point_major(img.planes.reshape(3, h * w), gp)
+    out = gamut_flat(img.planes.reshape(3, h * w), gp)
     return PlanarImage(width=w, height=h, planes=out.reshape(3, h, w))
 
 

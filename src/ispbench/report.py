@@ -129,7 +129,7 @@ def _emit_text(r: BenchReport) -> str:
         header = (
             f"{'stage':<10} {'variant':<{vw}} {'status':<8}"
             f"{_fmt('mean_s', 12)} {_fmt('min_s', 12)} {_fmt('speedup', 10)}"
-            f"{_fmt('max_dev', 12)} {_fmt('cycles', 14)} {_fmt('ii', 6)}"
+            f"{_fmt('max_dev', 12)}{_fmt('cycles', 14)} {_fmt('ii', 6)}"
         )
         out.append(header)
         out.append("-" * len(header))

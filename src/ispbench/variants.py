@@ -20,7 +20,7 @@ A variant run has three parts:
    ``run_variant`` returns are the kernel's alone.  Demosaic, denoise,
    transform and tone map run ``kernels.reference_stage`` whatever the
    config; gamut runs the compiled reference loop
-   (``kernels.gamut_point_major``) with ``unroll_factor`` lanes, once per
+   (``kernels.gamut_flat``) with ``unroll_factor`` lanes, once per
    channel when channel-sequential, so that variant recomputes the
    distances for every channel;
 2. after the clock stops, ``traffic``: the counters of the variant's
@@ -63,7 +63,7 @@ import numpy as np
 
 from .cache import ConstCacheSim
 from .images import PlanarImage, tone_index
-from .kernels import STAGE_NAMES, gamut_point_major, reference_stage
+from .kernels import STAGE_NAMES, gamut_flat, reference_stage
 from .params import TONE_LEVELS, PipelineParams
 
 READONLY_MODES = ("none", "const_cache", "buffered")
@@ -311,11 +311,11 @@ def variant_kernel(stage: str, cfg: VariantConfig, params: PipelineParams):
     """The kernel a variant runs, as ``data -> PlanarImage``: what its clock times."""
     if stage != "gamut":
         return lambda data: reference_stage(stage, data, params)
-    channels = [(0, 1, 2)] if cfg.fused_rewrite else [(c,) for c in range(3)]
+    channels = [None] if cfg.fused_rewrite else [0, 1, 2]
 
     def gamut(data):
         flat = data.planes.reshape(3, -1)
-        planes = [gamut_point_major(flat, params.gamut, ch, cfg.unroll_factor) for ch in channels]
+        planes = [gamut_flat(flat, params.gamut, c, cfg.unroll_factor) for c in channels]
         planes = np.concatenate(planes).reshape(data.planes.shape)
         return PlanarImage(width=data.width, height=data.height, planes=planes)
 
@@ -328,10 +328,11 @@ def run_variant(
     """Run one instrumented kernel variant; rejects invalid pairings first.
 
     Returns the output, its counters and the seconds of one ``variant_kernel``
-    call: the clock stops before the tone map's LUT rows are taken and
-    ``traffic`` counts the accesses.
+    call: the clock stops before ``traffic`` counts the accesses and, for a
+    tone-map ``C`` row, before the LUT rows its replay reads are taken.
     """
     cfg.validate_for(stage)
     out, (seconds,) = sample(1, variant_kernel(stage, cfg, params), data)
-    indices = tone_index(data.planes).reshape(3, -1) if stage == "tonemap" else None
+    replay = stage == "tonemap" and cfg.readonly_mode == "const_cache"  # only C reads LUT rows
+    indices = tone_index(data.planes).reshape(3, -1) if replay else None
     return out, traffic(stage, cfg, out.width, out.height, params.gamut.n, indices), seconds

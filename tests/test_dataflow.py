@@ -32,7 +32,7 @@ from _helpers import in_range_params, rand_params, rand_planar, rand_raw, simula
 SHAPES = [(2, 2), (2, 4), (6, 4), (34, 18)]
 KERNELS = {
     "demosaic": "demosaic",
-    "denoise": "_median_row",  # the wall-clock median worker's one compiled call per row
+    "denoise": "_median_rows",  # the wall-clock median worker's one compiled call per row
     "transform": "transform",
     "gamut": "gamut_map",
     "tonemap": "tone_map",
@@ -90,18 +90,18 @@ def test_wall_output_is_byte_identical_with_non_finite_and_signed_zero_edges(h):
 @pytest.mark.parametrize("h", [2, 4, 18])
 def test_wall_median_computes_each_row_once_and_only_that_row(monkeypatch, h):
     w, rows = 8, []
-    original = dataflow._median_row
+    original = dataflow._median_rows
 
     def record(*args):
         rows.append(original(*args))
         return rows[-1]
 
-    monkeypatch.setattr(dataflow, "_median_row", record)
+    monkeypatch.setattr(dataflow, "_median_rows", record)
     raw, params = rand_raw(w, h), rand_params(4)
     result = run_pipeline_dataflow(raw, params, ChannelConfig(3), clock="wall")
     assert result.image == run_pipeline(raw, params)
     # one compiled call per emitted row, each making that one row
-    assert len(rows) == h and all(row.shape == (3, 1, w) for row in rows)
+    assert len(rows) == h and all(row.planes.shape == (3, 1, w) for row in rows)
 
 
 def test_wall_median_worker_allocates_only_the_row_it_emits():

@@ -106,6 +106,13 @@ def test_text_report_sizes_the_variant_column_to_its_longest_label():
     assert len({len(line.split("  [")[0]) for line in rows}) == 1, rows  # every column in line
 
 
+def test_text_report_header_is_as_wide_as_its_rows():
+    lines = emit_report(fixed_report(), "text").decode().splitlines()
+    header = next(line for line in lines if line.startswith("stage"))
+    rows = [line for line in lines if line.startswith("gamut ") and "  [" not in line]
+    assert rows and all(len(line) == len(header) for line in rows), [header, *rows]
+
+
 def test_unknown_format_raises(sweep):
     with pytest.raises(ValueError):
         emit_report(sweep, "xml")

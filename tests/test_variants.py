@@ -322,6 +322,23 @@ def test_every_tone_map_variant_runs_the_reference_tone_map_once(monkeypatch):
         assert len(calls) == 1, cfg.label()
 
 
+def test_only_a_constant_cache_tone_map_row_takes_the_lut_rows(monkeypatch):
+    # the LUT rows feed the C replay alone; traffic rejects a C call without them
+    calls = []
+    original = variants.tone_index
+
+    def counted(values):
+        calls.append(values.shape)
+        return original(values)
+
+    monkeypatch.setattr(variants, "tone_index", counted)
+    params, data = rand_params(3, seed=2), rand_planar(16, 10, seed=5, lo=-0.2, hi=1.2)
+    for cfg in valid_variant_space("tonemap"):
+        calls.clear()
+        run_variant("tonemap", cfg, data, params)
+        assert len(calls) == (1 if cfg.readonly_mode == "const_cache" else 0), cfg.label()
+
+
 def test_gate_deviation_on_non_finite_values():
     ref = np.float32([np.inf, -np.inf, np.nan, 1.0, -0.0, 2.0])
     assert max_rel_deviation(ref.copy(), ref) == 0.0
