@@ -62,7 +62,9 @@ class HarnessConfig:
             raise ValueError(f"unknown clock {self.clock!r}")
         if self.out_format not in ("text", "csv", "json"):
             raise ValueError(f"unknown format {self.out_format!r}")
-        if self.stage in STAGE_NAMES and self.mode == "sequential":
+        if self.mode == "dataflow":
+            ChannelConfig(self.channel_depth)
+        elif self.stage in STAGE_NAMES:
             for label in self.variants:
                 self.variant_config(label)
 
@@ -74,27 +76,32 @@ class HarnessConfig:
 
 
 def parse_synth_spec(spec: str) -> RawBayerImage:
-    """``WxH:kind[:arg]`` -> mosaic; kinds: noise:SEED, gradient, constant:V,
-    color:R,G,B."""
+    """``WxH[:kind[:arg]]`` -> mosaic; kinds: noise[:SEED], gradient,
+    constant[:V], color[:R,G,B]. A missing argument is ``synth_bayer``'s
+    default."""
     parts = spec.split(":")
+    if len(parts) > 3:
+        raise ValueError(f"need WxH[:kind[:arg]], got {spec!r}")
     try:
         w, h = (int(v) for v in parts[0].lower().split("x"))
     except ValueError:
         raise ValueError(f"bad synthetic image size in {spec!r}") from None
     kind = parts[1] if len(parts) > 1 else "noise"
-    arg = parts[2] if len(parts) > 2 else None
+    arg = parts[2] if len(parts) > 2 else ""
+    if kind not in ("noise", "gradient", "constant", "color"):
+        raise ValueError(f"unknown synthetic kind {kind!r}")
+    if not arg:
+        return synth_bayer(w, h, kind)
     if kind == "noise":
-        return synth_bayer(w, h, "noise", seed=int(arg) if arg else 0)
-    if kind == "gradient":
-        return synth_bayer(w, h, "gradient")
+        return synth_bayer(w, h, kind, seed=int(arg))
     if kind == "constant":
-        return synth_bayer(w, h, "constant", value=float(arg) if arg else 0.5)
+        return synth_bayer(w, h, kind, value=float(arg))
     if kind == "color":
-        rgb = tuple(float(v) for v in arg.split(",")) if arg else (0.8, 0.5, 0.2)
+        rgb = tuple(float(v) for v in arg.split(","))
         if len(rgb) != 3:
             raise ValueError(f"color kind needs R,G,B in {spec!r}")
-        return synth_bayer(w, h, "color", rgb=rgb)
-    raise ValueError(f"unknown synthetic kind {kind!r}")
+        return synth_bayer(w, h, kind, rgb=rgb)
+    raise ValueError(f"gradient takes no argument, got {spec!r}")
 
 
 def load_harness_inputs(

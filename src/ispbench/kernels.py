@@ -128,9 +128,13 @@ def _rows(a: np.ndarray) -> np.ndarray:
     return a if a.strides[-1] == 4 and a.flags.aligned else np.array(a, np.float32, order="C")
 
 
-def _strides(a: np.ndarray) -> list[int]:
-    """``a``'s strides in elements, but the last (the pixels of a row)."""
-    return [s // 4 for s in a.strides[:-1]]
+def _call(entry, src: np.ndarray, shape: tuple[int, ...], *args) -> np.ndarray:
+    """``entry(src, src's strides in elements but the last, *args, out)`` into a fresh
+    float32 ``shape`` output, which it returns; the one path into the compiled loops.
+    """
+    src, out = _rows(src), np.empty(shape, np.float32)
+    entry(src.ctypes.data, *(s // 4 for s in src.strides[:-1]), *args, out.ctypes.data)
+    return out
 
 
 # the chain, in order: (stage, kernel attribute name, PipelineParams field or None);
@@ -153,10 +157,7 @@ def demosaic(raw: RawBayerImage) -> PlanarImage:
     R sites. One call of the compiled loop.
     """
     h, w = raw.height, raw.width
-    mosaic = _rows(raw.mosaic)
-    out = np.empty((3, h, w), np.float32)
-    _lib.demosaic(mosaic.ctypes.data, *_strides(mosaic), h, w, out.ctypes.data)
-    return PlanarImage(width=w, height=h, planes=out)
+    return PlanarImage(width=w, height=h, planes=_call(_lib.demosaic, raw.mosaic, (3, h, w), h, w))
 
 
 def denoise(img: PlanarImage) -> PlanarImage:
@@ -174,9 +175,7 @@ def _median_rows(planes: np.ndarray, y0: int, y1: int) -> PlanarImage:
     c, h, w = planes.shape
     if c != 3 or not 0 <= y0 <= y1 <= h:  # the loop would read outside the planes
         raise ValueError(f"need (3, h, w) and 0 <= y0 <= y1 <= h, got {planes.shape}, {y0}, {y1}")
-    planes = _rows(planes)
-    out = np.empty((3, y1 - y0, w), np.float32)
-    _lib.denoise(planes.ctypes.data, *_strides(planes), h, w, y0, y1, out.ctypes.data)
+    out = _call(_lib.denoise, planes, (3, y1 - y0, w), h, w, y0, y1)
     return PlanarImage(width=w, height=y1 - y0, planes=out)
 
 
@@ -186,9 +185,7 @@ def transform(img: PlanarImage, m: TransformMatrix) -> PlanarImage:
     One call of the compiled loop.
     """
     h, w = img.height, img.width
-    planes, mat = _rows(img.planes), np.ascontiguousarray(m.m)
-    out = np.empty((3, h, w), np.float32)
-    _lib.transform(planes.ctypes.data, *_strides(planes), h, w, mat.ctypes.data, out.ctypes.data)
+    out = _call(_lib.transform, img.planes, (3, h, w), h, w, m.m.ctypes.data)
     return PlanarImage(width=w, height=h, planes=out)
 
 
@@ -210,14 +207,9 @@ def gamut_flat(
     flat = np.asarray(flat, np.float32)
     if flat.ndim != 2 or len(flat) != 3 or unroll < 1:
         raise ValueError(f"need (3, pixels) planes and unroll >= 1, got {flat.shape}, {unroll}")
-    flat = _rows(flat)
     c0, nc = (0, 3) if channel is None else (channel, 1)
-    out = np.empty((nc, flat.shape[1]), np.float32)
-    _lib.gamut(
-        flat.ctypes.data, *_strides(flat), flat.shape[1],
-        gp.table.ctypes.data, c0, nc, gp.n, min(unroll, gp.n + 1), out.ctypes.data,
-    )
-    return out
+    n, lanes = flat.shape[1], min(unroll, gp.n + 1)
+    return _call(_lib.gamut, flat, (nc, n), n, gp.table.ctypes.data, c0, nc, gp.n, lanes)
 
 
 def gamut_map(img: PlanarImage, gp: GamutParams) -> PlanarImage:
@@ -237,10 +229,8 @@ def tone_map(img: PlanarImage, t: ToneLUT) -> PlanarImage:
     One call of the compiled loop, which quantizes as ``tone_index`` does.
     """
     h, w = img.height, img.width
-    planes = _rows(img.planes)
-    out = np.empty((3, h, w), np.float32)
     # ToneLUT stores one contiguous row of 256 levels per channel
-    _lib.tone_map(planes.ctypes.data, *_strides(planes), h, w, t.lut.ctypes.data, out.ctypes.data)
+    out = _call(_lib.tone_map, img.planes, (3, h, w), h, w, t.lut.ctypes.data)
     return PlanarImage(width=w, height=h, planes=out)
 
 

@@ -61,12 +61,13 @@ def _as_f32(x, shape, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TransformMatrix:
-    """3x3 color transform; row = output channel, column = input channel."""
+    """3x3 color transform; row = output channel, column = input channel; stored C-contiguous."""
 
     m: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "m", _as_f32(self.m, (3, 3), "transform matrix"))
+        m = _as_f32(self.m, (3, 3), "transform matrix")
+        object.__setattr__(self, "m", np.ascontiguousarray(m))
 
     def __eq__(self, other):
         if not isinstance(other, TransformMatrix):

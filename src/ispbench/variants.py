@@ -187,14 +187,14 @@ def max_rel_deviation(out: np.ndarray, ref: np.ndarray) -> float:
     Equal elements, and NaN in both outputs, count 0; any other mismatch
     that involves a non-finite value is an infinite deviation.
     """
-    o, r = out.astype(np.float64), ref.astype(np.float64)
-    with np.errstate(invalid="ignore"):  # inf - inf
-        diff = np.abs(o - r)
-    nan = np.isnan(diff)  # a NaN on either side, or two infinities of one sign
-    if nan.any():
-        o, r = o[nan], r[nan]
-        diff[nan] = np.where((o == r) | (np.isnan(o) & np.isnan(r)), 0.0, np.inf)
-    worst = float(diff.max()) if diff.size else 0.0
+    differ = out != ref  # a NaN differs from everything, itself included
+    if not differ.any():
+        return 0.0
+    o, r = out[differ].astype(np.float64), ref[differ].astype(np.float64)
+    diff = np.abs(o - r)  # unequal, so never inf - inf
+    diff[np.isnan(diff)] = np.inf  # a NaN on one side ...
+    diff[np.isnan(o) & np.isnan(r)] = 0.0  # ... or on both
+    worst = float(diff.max())
     if worst == 0.0:
         return 0.0
     finite = np.abs(ref[np.isfinite(ref)])

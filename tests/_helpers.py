@@ -231,6 +231,23 @@ def simulate_chain_oracle(
     return stats, cur_push[k - 1]
 
 
+def max_rel_deviation_oracle(out: np.ndarray, ref: np.ndarray) -> float:
+    """The gate's deviation computed on whole float64 copies of both outputs."""
+    o, r = out.astype(np.float64), ref.astype(np.float64)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        diff = np.abs(o - r)
+    nan = np.isnan(diff)  # a NaN on either side, or two infinities of one sign
+    if nan.any():
+        o, r = o[nan], r[nan]
+        diff[nan] = np.where((o == r) | (np.isnan(o) & np.isnan(r)), 0.0, np.inf)
+    worst = float(diff.max()) if diff.size else 0.0
+    if worst == 0.0:
+        return 0.0
+    finite = np.abs(ref[np.isfinite(ref)])
+    scale = float(finite.max()) if finite.size else 0.0
+    return worst / max(scale, np.finfo(np.float32).tiny)
+
+
 def cache_access(sim: ConstCacheSim, offset: int) -> bool:
     """Touch one byte offset of ``sim``'s region; returns True on hit."""
     if not 0 <= offset < sim.region_bytes:

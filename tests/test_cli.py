@@ -66,16 +66,29 @@ def test_dataflow_mode_records_the_one_run_it_makes_not_reps(capsys):
         ["--stage", "gamut", "--variants", "RIW+U" + "9" * 400],  # past a float
         ["--stage", "gamut", "--variants", "RIW+U" + "9" * 5000],  # past int()'s digit limit
         ["--stage", "gamut", "--variants", "RIWC_" + "9" * 5000],
+        ["--synth", "4x4:noise:1:zzz"],  # a field past the argument
+        ["--synth", "4x4:gradient:5"],  # gradient takes no argument
     ],
     ids=[
         "reps_0", "unparsable_label", "unroll_on_denoise", "channel_depth_0", "unroll_2_63",
-        "unroll_400_digits", "unroll_5000_digits", "cache_5000_digits",
+        "unroll_400_digits", "unroll_5000_digits", "cache_5000_digits", "synth_4_fields",
+        "synth_gradient_arg",
     ],
 )
 def test_malformed_flags_exit_2(capsys, flags):
     assert cli.main(["--synth", "4x4:noise:1", "--n-points", "3", *flags]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "Traceback" not in err
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_a_bad_channel_depth_exits_2_before_any_input_is_made(monkeypatch, capsys):
+    def unreachable(*args):
+        raise AssertionError("reached past the flag check")
+
+    monkeypatch.setattr(harness, "run_pipeline", unreachable)
+    monkeypatch.setattr(harness, "load_harness_inputs", unreachable)
+    assert cli.main(["--mode", "dataflow", "--channel-depth", "0"]) == 2
+    assert capsys.readouterr().err.startswith("error: channel depth must be >= 1")
 
 
 @pytest.mark.parametrize(
@@ -90,6 +103,7 @@ def test_harness_config_rejects_variant_flags(kwargs):
 def test_variant_flags_are_checked_only_where_they_are_used():
     HarnessConfig(stage="pipeline", variants=["XYZ"])
     HarnessConfig(stage="gamut", mode="dataflow", variants=["XYZ"])
+    HarnessConfig(channel_depth=0)  # sequential mode has no channels
 
 
 def test_a_cache_is_sized_by_its_label_alone(capsys):

@@ -10,13 +10,31 @@ import numpy as np
 import pytest
 
 from ispbench import dataflow, harness, variants
-from ispbench.harness import HarnessConfig, load_harness_inputs, run_matrix
-from ispbench.images import PlanarImage
+from ispbench.harness import HarnessConfig, load_harness_inputs, parse_synth_spec, run_matrix
+from ispbench.images import PlanarImage, synth_bayer
 from ispbench.kernels import STAGE_NAMES, gamut_map, stage_input
 from ispbench.params import save_params_file
 from ispbench.variants import NAMED_VARIANTS
 
 from _helpers import in_range_params, overflow_params
+
+
+@pytest.mark.parametrize(
+    "spec,kind,kwargs",
+    [
+        ("8x6", "noise", {}),
+        ("8x6:noise", "noise", {}),
+        ("8x6:noise:3", "noise", {"seed": 3}),
+        ("8x6:gradient", "gradient", {}),
+        ("8x6:constant", "constant", {}),
+        ("8x6:constant:0.25", "constant", {"value": 0.25}),
+        ("8x6:color", "color", {}),
+        ("8x6:color:0.1,0.2,0.3", "color", {"rgb": (0.1, 0.2, 0.3)}),
+    ],
+)
+def test_a_synth_spec_passes_only_the_arguments_it_gives(spec, kind, kwargs):
+    raw = parse_synth_spec(spec)
+    assert np.array_equal(raw.mosaic, synth_bayer(8, 6, kind, **kwargs).mosaic), spec
 
 
 @pytest.mark.parametrize("clock", ["wall", "virtual"])

@@ -242,6 +242,37 @@ def test_demosaic_matches_oracle_at_vector_widths(w):
         assert np.array_equal(bits(kernels.demosaic(raw)), bits(demosaic_oracle(raw))), h
 
 
+def test_a_transposed_matrix_is_stored_row_by_row():
+    x = np.arange(9, dtype=np.float32).reshape(3, 3).T / 8
+    assert x.dtype == np.float32 and not x.flags.c_contiguous
+    m = TransformMatrix(x)
+    assert m.m.flags.c_contiguous and np.array_equal(m.m, x)
+    img = rand_planar(5, 3, seed=4, lo=-0.2, hi=1.2)
+    assert np.array_equal(bits(kernels.transform(img, m)), bits(transform_oracle(img, m)))
+
+
+def test_every_kernel_makes_one_call_through_the_one_path(monkeypatch):
+    calls = []
+    original = kernels._call
+
+    def counted(entry, *args):
+        calls.append(entry)
+        return original(entry, *args)
+
+    monkeypatch.setattr(kernels, "_call", counted)
+    params, raw, img = rand_params(4), rand_raw(6, 4), rand_planar(6, 4)
+    for name, entry, run in [
+        ("demosaic", kernels._lib.demosaic, lambda: kernels.demosaic(raw)),
+        ("denoise", kernels._lib.denoise, lambda: kernels.denoise(img)),
+        ("transform", kernels._lib.transform, lambda: kernels.transform(img, params.transform)),
+        ("gamut", kernels._lib.gamut, lambda: kernels.gamut_map(img, params.gamut)),
+        ("tone_map", kernels._lib.tone_map, lambda: kernels.tone_map(img, params.tone)),
+    ]:
+        calls.clear()
+        run()
+        assert calls == [entry], name
+
+
 def test_transform_does_not_fuse_a_multiply_into_its_add():
     # pixel (3, 3, 3) and w1 = 1 + 2^-23: -3 + fl(3 * w1) = 2^-21 in rows 0
     # and 1, while a fused multiply-add rounds once to 3 * 2^-23

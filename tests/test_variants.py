@@ -38,6 +38,7 @@ from _helpers import (
     demosaic_oracle,
     denoise_oracle,
     gamut_oracle,
+    max_rel_deviation_oracle,
     rand_params,
     rand_planar,
     rand_raw,
@@ -349,6 +350,25 @@ def test_gate_deviation_on_non_finite_values():
     out = ref.copy()
     out[3] = 1.5  # the scale is the largest finite reference magnitude, 2
     assert max_rel_deviation(out, ref) == 0.25
+
+
+def test_gate_deviation_matches_the_whole_array_formula():
+    values = np.float32([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan, 1e-45, 3e38, 0.5])
+    rng = np.random.default_rng(0)
+    for i in range(3000):
+        ref = rng.choice(values, size=i % 9)  # sizes 0 and 1 included
+        out = ref.copy()
+        for j in rng.integers(ref.size, size=rng.integers(3)) if ref.size else ():
+            kind = rng.integers(3)  # another value, a neighbouring float, a small relative step
+            with np.errstate(over="ignore", invalid="ignore"):
+                if kind == 0:
+                    out[j] = rng.choice(values)
+                elif kind == 1:
+                    out[j] = np.nextafter(out[j], np.float32(rng.choice([-np.inf, np.inf])))
+                else:
+                    out[j] *= np.float32(1 + rng.choice([1e-7, -1e-5, 1e-3]))
+        with np.errstate(over="ignore", invalid="raise"):  # never inf - inf
+            assert max_rel_deviation(out, ref) == max_rel_deviation_oracle(out, ref), (ref, out)
 
 
 @pytest.mark.parametrize("stage", STAGE_NAMES)
